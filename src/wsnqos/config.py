@@ -33,6 +33,7 @@ Key reference (defaults in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .energy import RadioParams, crossover_distance
@@ -96,6 +97,10 @@ class ScenarioConfig:
         self._validate_resolved()
 
     def _validate_raw(self) -> None:
+        for key, (attr, parse) in _SCALAR_KEYS.items():
+            value = getattr(self, attr)
+            if parse is _parse_float and value is not None and not math.isfinite(value):
+                raise ConfigError(key, f"must be finite, got {value}")
         positive = [
             ("grid.width", self.grid_width),
             ("grid.height", self.grid_height),

@@ -39,9 +39,9 @@ from .node import (
     expire_drops,
     service_time,
 )
-from .queueing import ClassLoad, QueueModelParams
-from .routing import (
-    NeighborView,
+# _route scores candidates inline; the readable reference path stays bound
+# here so tests and perfbench/tracer.py find it by name on this module.
+from .routing import (  # noqa: F401
     build_neighbor_table,
     min_finite_delay,
     predictive_drop_check,
@@ -62,17 +62,6 @@ class DropCause(Enum):
     BUFFER_OVERFLOW = "buffer_overflow"
     NODE_DEATH = "node_death"
     LINK_LOSS = "link_loss"
-
-
-@dataclass(order=True)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    node: int = field(compare=False)
-    cls: TrafficClass | None = field(compare=False, default=None)
-    packet: Packet | None = field(compare=False, default=None)
-    target: int | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -177,7 +166,6 @@ class NodeState:
     battery: Battery | None  # None: mains-powered (the sink)
     queues: NodeQueues
     alive: bool = True
-    in_service_target: int | None = None
     link_stats: dict[int, LinkStats] = field(default_factory=dict)
     rate_est: dict[TrafficClass, RateEstimator] = field(default_factory=dict)
 
@@ -189,9 +177,21 @@ class Simulation:
         self.cfg = cfg
         self.radio = cfg.radio_params()
         self.weights = cfg.weights()
+        # per-run constants of the next-hop cost: service time x = size /
+        # bandwidth, its square, the service term of the predicted delay
+        # (adding 0.0 leaves a non-negative delay unchanged) and the
+        # receive cost the candidate would pay
+        x = cfg.packet_bits / self.radio.bandwidth
+        self._x = x
+        self._x2 = x * x
+        self._service = x if cfg.include_service_time else 0.0
+        self._rx_cost = cfg.packet_bits * self.radio.e_elec
         self.now = 0.0
         self._seq = 0
-        self.heap: list[Event] = []
+        # events are (time, seq, kind, node, cls, packet, target); the unique
+        # seq breaks time ties in scheduling order, so the tuple comparison
+        # never reaches the later fields
+        self.heap: list[tuple] = []
         self.metrics = Metrics(sensor_count=cfg.node_count - 1)
         if collect_traces:
             self.metrics.delivered_records = []
@@ -257,9 +257,17 @@ class Simulation:
             self._loss_rngs[key] = rng
         return rng
 
-    def _push(self, time: float, kind: EventKind, node: int, **kw) -> None:
+    def _push(
+        self,
+        time: float,
+        kind: EventKind,
+        node: int,
+        cls: TrafficClass | None = None,
+        packet: Packet | None = None,
+        target: int | None = None,
+    ) -> None:
         self._seq += 1
-        heapq.heappush(self.heap, Event(time, self._seq, kind, node, **kw))
+        heapq.heappush(self.heap, (time, self._seq, kind, node, cls, packet, target))
 
     def _schedule_next_arrival(self, nid: int, cls: TrafficClass) -> None:
         idx = self._arrival_idx[(nid, cls)]
@@ -272,18 +280,24 @@ class Simulation:
 
     def run(self) -> Metrics:
         horizon = self.cfg.duration
-        while self.heap:
-            ev = heapq.heappop(self.heap)
-            if ev.time > horizon:
+        heap = self.heap
+        generated = EventKind.PACKET_GENERATED
+        tx_complete = EventKind.TRANSMISSION_COMPLETE
+        while heap:
+            time, _seq, kind, nid, cls, packet, target = heapq.heappop(heap)
+            if time > horizon:
                 break
-            assert ev.time >= self.now, "event calendar went backwards"
-            self.now = ev.time
-            if ev.kind is EventKind.PACKET_GENERATED:
-                self._on_generated(ev)
-            elif ev.kind is EventKind.TRANSMISSION_COMPLETE:
-                self._on_tx_complete(ev)
+            if time < self.now:
+                raise RuntimeError(
+                    f"event calendar went backwards: {time!r} < {self.now!r}"
+                )
+            self.now = time
+            if kind is generated:
+                self._on_generated(nid, cls)
+            elif kind is tx_complete:
+                self._on_tx_complete(nid, packet, target)
             else:
-                self._on_node_death(ev)
+                self._on_node_death(nid)
             if self.alive_sources == 0 and self._pending_deaths == 0:
                 break
         self._finalize()
@@ -291,53 +305,50 @@ class Simulation:
 
     # -- handlers ------------------------------------------------------
 
-    def _on_generated(self, ev: Event) -> None:
-        node = self.nodes[ev.node]
+    def _on_generated(self, nid: int, cls: TrafficClass) -> None:
+        node = self.nodes[nid]
         if not node.alive:
             return
-        self._schedule_next_arrival(ev.node, ev.cls)
+        self._schedule_next_arrival(nid, cls)
         budget = (
-            self.cfg.deadline_rt
-            if ev.cls is TrafficClass.RT
-            else self.cfg.deadline_nrt
+            self.cfg.deadline_rt if cls is TrafficClass.RT else self.cfg.deadline_nrt
         )
         packet = Packet(
             packet_id=self._next_packet_id,
-            cls=ev.cls,
+            cls=cls,
             size_bits=self.cfg.packet_bits,
-            source=ev.node,
+            source=nid,
             sink=SINK_ID,
             created_at=self.now,
             deadline=self.now + budget,
         )
         self._next_packet_id += 1
-        self.metrics.generated[ev.cls] += 1
-        node.rate_est[ev.cls].observe(self.now)
+        self.metrics.generated[cls] += 1
+        node.rate_est[cls].observe(self.now)
         if not classify_enqueue(node.queues, packet):
             self._drop(packet, DropCause.BUFFER_OVERFLOW)
         elif node.queues.in_service is None:
             self._try_start_service(node)
 
-    def _on_tx_complete(self, ev: Event) -> None:
-        node = self.nodes[ev.node]
+    def _on_tx_complete(self, nid: int, packet: Packet, target: int) -> None:
+        node = self.nodes[nid]
         node.queues.in_service = None
-        node.in_service_target = None
         if not node.alive:
             # receive debits killed the node mid-service
-            self._drop(ev.packet, DropCause.NODE_DEATH)
+            self._drop(packet, DropCause.NODE_DEATH)
             return
-        self._deliver(node, ev.packet, ev.target)
+        self._deliver(node, packet, target)
         if node.alive and node.queues.in_service is None:
             self._try_start_service(node)
 
-    def _on_node_death(self, ev: Event) -> None:
+    def _on_node_death(self, nid: int) -> None:
         self._pending_deaths -= 1
-        node = self.nodes[ev.node]
+        node = self.nodes[nid]
         for q in (node.queues.rt, node.queues.nrt):
             while q:
                 self._drop(q.popleft(), DropCause.NODE_DEATH)
-        self.metrics.deaths.append((self.now, ev.node))
-        if ev.node in self.source_set:
+        self.metrics.deaths.append((self.now, nid))
+        if nid in self.source_set:
             self.alive_sources -= 1
 
     # -- packet lifecycle ----------------------------------------------
@@ -360,7 +371,6 @@ class Simulation:
             self.metrics.wait_sum[key] += self.now - packet.hop_trace[-1][1]
             self.metrics.wait_count[key] += 1
             queues.in_service = packet
-            node.in_service_target = decision
             self._push(
                 self.now + service_time(packet, self.radio),
                 EventKind.TRANSMISSION_COMPLETE,
@@ -371,51 +381,87 @@ class Simulation:
             return
 
     def _route(self, node: NodeState, packet: Packet) -> int | DropCause:
-        candidates = []
+        """Next hop for the packet, or the cause to drop it.
+
+        One pass over the allowed, alive neighbors gives what
+        build_neighbor_table, min_finite_delay and select_next_hop give,
+        with the same float operations in the same order: each candidate's
+        predicted delay (the closed-form priority wait, inf when its queue
+        model is unstable, plus the service term) and its cost
+        alpha*delay + beta/usable + gamma/prr (inf when usable <= 0 or
+        prr <= 0). The lowest finite cost wins; ids ascend, so a strict
+        comparison keeps the lowest id on ties. The predictive-drop check
+        counts every alive candidate and takes the smallest finite delay
+        over all of them, whatever their cost.
+        """
+        now = self.now
+        nodes = self.nodes
+        link_stats = node.link_stats
+        x = self._x
+        x2 = self._x2
+        service = self._service
+        rx_cost = self._rx_cost
+        weights = self.weights
+        alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
+        is_rt = packet.cls is TrafficClass.RT
+        rt, nrt = TrafficClass.RT, TrafficClass.NRT
+        alive = 0
+        min_delay = math.inf
+        best_cost = math.inf
+        best = None
         for nid in self.allowed_static[node.node_id]:
-            st = self.nodes[nid]
+            st = nodes[nid]
             if not st.alive:
                 continue
-            candidates.append(
-                NeighborView(
-                    node_id=nid,
-                    position=st.position,
-                    residual_energy=(
-                        math.inf if st.battery is None else st.battery.residual
-                    ),
-                    queue_params=self._measured_params(st),
-                    prr=self._prr(node, nid),
+            alive += 1
+            rate_est = st.rate_est
+            lam1 = rate_est[rt].rate_at(now)
+            lam2 = rate_est[nrt].rate_at(now)
+            if lam1 < 0.0 or lam2 < 0.0:
+                raise ValueError(f"arrival rate must be >= 0, got {lam1}, {lam2}")
+            rho1 = lam1 * x
+            if is_rt:
+                if rho1 >= 1.0:
+                    continue
+                delay = 0.5 * (lam1 * x2 + lam2 * x2) / (1.0 - rho1)
+            else:
+                rho2 = lam2 * x
+                if rho1 + rho2 >= 1.0:
+                    continue
+                delay = (
+                    0.5 * (lam1 * x2 + lam2 * x2) / ((1.0 - rho1) * (1.0 - rho1 - rho2))
                 )
-            )
-        if not candidates:
+            delay += service
+            if delay < min_delay:
+                min_delay = delay
+            battery = st.battery
+            usable = (math.inf if battery is None else battery.residual) - rx_cost
+            stats = link_stats.get(nid)
+            prr = 1.0 if stats is None else stats.prr()
+            if usable <= 0.0 or prr <= 0.0:
+                continue
+            cost = alpha * delay + beta / usable + gamma / prr
+            if cost < best_cost:
+                best_cost = cost
+                best = nid
+        if alive == 0:
             return DropCause.NO_ROUTE
-        table = build_neighbor_table(
-            node.position,
-            packet.cls,
-            candidates,
-            self.cfg.packet_bits,
-            self.radio,
-            self.weights,
-            self.cfg.include_service_time,
-        )
         if self.cfg.predictive_drop:
             area = self._allowed_area(node.node_id)
-            hop_delay = min_finite_delay(table)
-            if area > 0.0 and hop_delay is not None:
-                spacing = delta(area, len(table))
+            if area > 0.0 and min_delay < math.inf:
+                spacing = delta(area, alive)
                 if spacing > 0.0 and not predictive_drop_check(
                     packet.deadline,
-                    self.now,
+                    now,
                     node.position,
                     self.sink_position,
                     spacing,
-                    hop_delay,
+                    min_delay,
                 ):
                     return DropCause.PREDICTIVE
-        choice = select_next_hop(table, self.weights)
-        if choice is None:
+        if best is None:
             return DropCause.NO_ROUTE
-        return choice
+        return best
 
     def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
         k = packet.size_bits
@@ -473,7 +519,10 @@ class Simulation:
         prev = math.inf
         for nid, _when in packet.hop_trace:
             d = self.topology.distance_to_sink(nid)
-            assert d <= prev, "hop trace moved away from the sink"
+            if d > prev:
+                raise RuntimeError(
+                    f"hop trace of packet {packet.packet_id} moved away from the sink"
+                )
             prev = d
         if m.delivered_records is not None:
             m.delivered_records.append(
@@ -496,18 +545,6 @@ class Simulation:
         self.metrics.drops[(cause, packet.cls)] += 1
 
     # -- sender-visible neighbor state -----------------------------------
-
-    def _measured_params(self, st: NodeState) -> QueueModelParams:
-        x = self.cfg.packet_bits / self.radio.bandwidth
-        x2 = x * x
-        return QueueModelParams(
-            rt=ClassLoad(st.rate_est[TrafficClass.RT].rate_at(self.now), x, x2),
-            nrt=ClassLoad(st.rate_est[TrafficClass.NRT].rate_at(self.now), x, x2),
-        )
-
-    def _prr(self, sender: NodeState, target_id: int) -> float:
-        stats = sender.link_stats.get(target_id)
-        return 1.0 if stats is None else stats.prr()
 
     def _link_stats(self, sender: NodeState, target_id: int) -> LinkStats:
         stats = sender.link_stats.get(target_id)

@@ -10,6 +10,10 @@ energy and link reception rate, and scores each candidate with
 in raw SI units. The neighbor with the smallest finite cost wins, ties going
 to the lowest node id. A packet whose estimated remaining path delay cannot
 meet its deadline is dropped before any energy is spent on it.
+
+`Simulation._route` in engine.py makes the same decision in one pass over
+scalars, without building these objects; the functions here are the
+readable reference it is tested against.
 """
 
 from __future__ import annotations

@@ -138,3 +138,23 @@ def test_unwritable_output_exit_code(tmp_path, scenario_file, capsys):
 
 def test_invalid_seeds_value(tmp_path, scenario_file, capsys):
     assert main(["--config", str(scenario_file), "--seeds", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "initial_energy = nan",
+        "deadline.rt = nan",
+        "alpha = nan",
+        "radio.range = nan",
+        "rate.rt = nan",
+        "rate.rt = inf",
+    ],
+)
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(ONE_PACKET_SCENARIO + line + "\n")
+    assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
+    key = line.split("=")[0].strip()
+    assert f"{key}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()

@@ -1,11 +1,19 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsnqos.config import ScenarioConfig
-from wsnqos.energy import rx_energy, tx_energy
+import wsnqos
+from wsnqos.config import SINK_ID, ScenarioConfig
+from wsnqos.energy import Battery, rx_energy, tx_energy
 from wsnqos.engine import (
     DropCause,
     Simulation,
@@ -13,8 +21,17 @@ from wsnqos.engine import (
     run,
     stream_rng,
 )
-from wsnqos.geometry import distance
+from wsnqos.geometry import delta, distance
+from wsnqos.linkest import LinkStats
 from wsnqos.node import Packet, TrafficClass, classify_enqueue
+from wsnqos.queueing import ClassLoad, QueueModelParams
+from wsnqos.routing import (
+    NeighborView,
+    build_neighbor_table,
+    min_finite_delay,
+    predictive_drop_check,
+    select_next_hop,
+)
 
 
 def two_node_cfg(**kw):
@@ -316,3 +333,198 @@ class TestExpiry:
         assert with_pred.drop_count(DropCause.PREDICTIVE) > 0
         # predictive dropping saves the energy of transmitting doomed packets
         assert with_pred.total_energy <= without.total_energy
+
+
+class FixedRate:
+    """Stands in for a RateEstimator whose reading is set by the test."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def rate_at(self, now):
+        return self.rate
+
+
+def reference_route(sim, node, packet):
+    """The readable decision path that Simulation._route must reproduce."""
+    cfg = sim.cfg
+    x = cfg.packet_bits / sim.radio.bandwidth
+    views = []
+    for nid in sim.allowed_static[node.node_id]:
+        st = sim.nodes[nid]
+        if not st.alive:
+            continue
+        loads = QueueModelParams(
+            rt=ClassLoad.deterministic(st.rate_est[TrafficClass.RT].rate_at(sim.now), x),
+            nrt=ClassLoad.deterministic(st.rate_est[TrafficClass.NRT].rate_at(sim.now), x),
+        )
+        stats = node.link_stats.get(nid)
+        views.append(
+            NeighborView(
+                node_id=nid,
+                position=st.position,
+                residual_energy=math.inf if st.battery is None else st.battery.residual,
+                queue_params=loads,
+                prr=1.0 if stats is None else stats.prr(),
+            )
+        )
+    if not views:
+        return DropCause.NO_ROUTE, []
+    table = build_neighbor_table(
+        node.position,
+        packet.cls,
+        views,
+        cfg.packet_bits,
+        sim.radio,
+        sim.weights,
+        cfg.include_service_time,
+    )
+    if cfg.predictive_drop:
+        area = sim._allowed_area(node.node_id)
+        hop_delay = min_finite_delay(table)
+        if area > 0.0 and hop_delay is not None:
+            spacing = delta(area, len(table))
+            if spacing > 0.0 and not predictive_drop_check(
+                packet.deadline, sim.now, node.position, sim.sink_position, spacing, hop_delay
+            ):
+                return DropCause.PREDICTIVE, table
+    choice = select_next_hop(table, sim.weights)
+    return (DropCause.NO_ROUTE if choice is None else choice), table
+
+
+class TestRouteMatchesReference:
+    """Simulation._route against the NeighborView / build_neighbor_table path."""
+
+    SENDER = 1
+
+    def sim(self, **kw):
+        # sender 1 is 60 m east of the sink; 2..6 and the sink are its allowed
+        # neighbors, 7 is in reach but farther from the sink
+        cfg = ScenarioConfig(
+            node_count=8,
+            positions={
+                1: (560.0, 500.0),
+                2: (530.0, 500.0),
+                3: (540.0, 520.0),
+                4: (540.0, 480.0),
+                5: (510.0, 510.0),
+                6: (520.0, 460.0),
+                7: (555.0, 470.0),
+            },
+            sources=(1,),
+            rate_rt=0.0,
+            rate_nrt=0.0,
+            duration=1.0,
+            **kw,
+        )
+        sim = Simulation(cfg)
+        assert sim.allowed_static[self.SENDER] == [SINK_ID, 2, 3, 4, 5, 6]
+        return sim
+
+    def randomize(self, sim, rng):
+        """Random neighbor state: loads on both sides of the stability
+        boundary, batteries below the receive cost, dead links, dead nodes
+        and, now and then, two neighbors in the same state (an equal cost)."""
+        sender = sim.nodes[self.SENDER]
+        sender.link_stats.clear()
+        capacity = sim.radio.bandwidth / sim.cfg.packet_bits  # packets/s
+        rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
+        states = {}
+        for nid in sim.allowed_static[self.SENDER]:
+            st = sim.nodes[nid]
+            rho = [rng.choice([0.0, rng.uniform(0.0, 0.6), rng.uniform(0.4, 1.2)])
+                   for _ in range(2)]
+            if rng.random() < 0.1:
+                rho[0] = 1.0  # exactly at the boundary
+            residual = rng.choice([rx_cost * 0.5, rx_cost, rng.uniform(1e-5, 2.0)])
+            outcomes = rng.choice([[], [False] * 3,
+                                   [rng.random() < 0.7 for _ in range(rng.randint(1, 30))]])
+            alive = nid == SINK_ID or rng.random() >= 0.15
+            states[nid] = (rho[0] * capacity, rho[1] * capacity, residual, outcomes, alive)
+        if rng.random() < 0.5:
+            a, b = rng.sample(sorted(states.keys() - {SINK_ID}), 2)
+            states[b] = states[a][:4] + (states[b][4],)
+        for nid, (lam1, lam2, residual, outcomes, alive) in states.items():
+            st = sim.nodes[nid]
+            st.rate_est = {TrafficClass.RT: FixedRate(lam1), TrafficClass.NRT: FixedRate(lam2)}
+            if st.battery is not None:
+                st.battery = Battery(residual)
+            st.alive = alive
+            if outcomes:
+                stats = LinkStats(sim.cfg.prr_window)
+                for delivered in outcomes:
+                    stats.record_outcome(delivered)
+                sender.link_stats[nid] = stats
+
+    def test_random_states_match_exactly(self):
+        rng = random.Random(4242)
+        seen = Counter()
+        trials = 0
+        for include_service_time in (True, False):
+            sim = self.sim(include_service_time=include_service_time)
+            node = sim.nodes[self.SENDER]
+            for i in range(800):
+                self.randomize(sim, rng)
+                sim.now = rng.uniform(0.0, 10.0)
+                cls = rng.choice(list(TrafficClass))
+                packet = Packet(
+                    i, cls, sim.cfg.packet_bits, self.SENDER, SINK_ID,
+                    sim.now, sim.now + rng.uniform(1e-4, 4e-3),
+                )
+                expected, table = reference_route(sim, node, packet)
+                assert sim._route(node, packet) == expected
+                trials += 1
+                seen[expected if isinstance(expected, DropCause) else "hop"] += 1
+                seen[cls] += 1
+                seen["sink chosen"] += expected == SINK_ID
+                seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
+                seen["usable <= 0"] += any(e.usable_energy <= 0.0 for e in table)
+                seen["prr = 0"] += any(e.prr == 0.0 for e in table)
+                seen["dead"] += len(table) < len(sim.allowed_static[self.SENDER])
+                costs = [e.cost for e in table if math.isfinite(e.cost)]
+                seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
+        assert trials >= 1000
+        for case in (
+            "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, TrafficClass.RT,
+            TrafficClass.NRT, "sink chosen", "unstable", "usable <= 0", "prr = 0",
+            "dead", "tie",
+        ):
+            assert seen[case] >= 20, (case, seen)
+
+    def test_negative_arrival_rate_is_an_error(self):
+        sim = self.sim()
+        sim.nodes[2].rate_est[TrafficClass.RT] = FixedRate(-1.0)
+        packet = Packet(0, TrafficClass.RT, 100, self.SENDER, SINK_ID, 0.0, 1.0)
+        with pytest.raises(ValueError, match="arrival rate"):
+            sim._route(sim.nodes[self.SENDER], packet)
+
+
+def test_invariant_checks_run_under_python_O():
+    # a hop trace that moves away from the sink must stop the run even
+    # when asserts are compiled out
+    script = textwrap.dedent(
+        """
+        import itertools
+        import sys
+
+        from wsnqos.config import ScenarioConfig
+        from wsnqos.engine import run
+        from wsnqos.geometry import Topology
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        rising = itertools.count()
+        Topology.distance_to_sink = lambda self, node_id: float(next(rising))
+        run(ScenarioConfig(node_count=2, positions={1: (550.0, 500.0)},
+                           sources=(1,), rate_rt=0.01, rate_nrt=0.0, duration=1000.0))
+        """
+    )
+    src = str(Path(wsnqos.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeError: hop trace of packet 0 moved away from the sink" in proc.stderr
