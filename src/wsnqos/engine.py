@@ -165,9 +165,12 @@ class NodeState:
     position: Position
     battery: Battery | None  # None: mains-powered (the sink)
     queues: NodeQueues
+    # one arrival-rate estimate per class, as two fields so the hot path
+    # reaches them without hashing a TrafficClass
+    rate_rt: RateEstimator
+    rate_nrt: RateEstimator
     alive: bool = True
     link_stats: dict[int, LinkStats] = field(default_factory=dict)
-    rate_est: dict[TrafficClass, RateEstimator] = field(default_factory=dict)
 
 
 class Simulation:
@@ -205,9 +208,8 @@ class Simulation:
                 position=pos,
                 battery=None if nid == SINK_ID else Battery(cfg.initial_energy),
                 queues=NodeQueues(capacity=cfg.queue_capacity),
-                rate_est={
-                    cls: RateEstimator(cfg.rate_tau) for cls in TrafficClass
-                },
+                rate_rt=RateEstimator(cfg.rate_tau),
+                rate_nrt=RateEstimator(cfg.rate_tau),
             )
         self.allowed_static = {
             nid: self.topology.allowed_neighbor_ids(nid)
@@ -324,7 +326,7 @@ class Simulation:
         )
         self._next_packet_id += 1
         self.metrics.generated[cls] += 1
-        node.rate_est[cls].observe(self.now)
+        (node.rate_rt if cls is TrafficClass.RT else node.rate_nrt).observe(self.now)
         if not classify_enqueue(node.queues, packet):
             self._drop(packet, DropCause.BUFFER_OVERFLOW)
         elif node.queues.in_service is None:
@@ -404,7 +406,6 @@ class Simulation:
         weights = self.weights
         alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
         is_rt = packet.cls is TrafficClass.RT
-        rt, nrt = TrafficClass.RT, TrafficClass.NRT
         alive = 0
         min_delay = math.inf
         best_cost = math.inf
@@ -414,9 +415,8 @@ class Simulation:
             if not st.alive:
                 continue
             alive += 1
-            rate_est = st.rate_est
-            lam1 = rate_est[rt].rate_at(now)
-            lam2 = rate_est[nrt].rate_at(now)
+            lam1 = st.rate_rt.rate_at(now)
+            lam2 = st.rate_nrt.rate_at(now)
             if lam1 < 0.0 or lam2 < 0.0:
                 raise ValueError(f"arrival rate must be >= 0, got {lam1}, {lam2}")
             rho1 = lam1 * x
@@ -500,7 +500,8 @@ class Simulation:
             return
         self.metrics.rx_by_node[target_id] += 1
         stats.record_outcome(True)
-        target.rate_est[packet.cls].observe(self.now)
+        rate = target.rate_rt if packet.cls is TrafficClass.RT else target.rate_nrt
+        rate.observe(self.now)
         if packet.deadline < self.now:
             self._drop(packet, DropCause.EXPIRED)
             return
@@ -568,9 +569,24 @@ class Simulation:
         m = self.metrics
         m.end_time = self.now
         for nid, st in self.nodes.items():
-            if st.battery is not None:
-                m.energy_by_node[nid] = st.battery.consumed
-                m.residual_by_node[nid] = st.battery.residual
+            battery = st.battery
+            if battery is not None:
+                consumed, residual = battery.consumed, battery.residual
+                m.energy_by_node[nid] = consumed
+                m.residual_by_node[nid] = residual
+                # raise, not assert, so the check stays on under python -O
+                if not math.isclose(consumed + residual, battery.initial, rel_tol=1e-9):
+                    raise RuntimeError(
+                        f"battery of node {nid} does not close: consumed "
+                        f"{consumed!r} + residual {residual!r} "
+                        f"!= initial {battery.initial!r}"
+                    )
+        per_node = math.fsum(m.energy_by_node.values())
+        if not math.isclose(per_node, m.total_energy, rel_tol=1e-9):
+            raise RuntimeError(
+                f"energy ledger does not close: per-node sum {per_node!r} "
+                f"!= total_energy {m.total_energy!r}"
+            )
         m.in_flight = m.generated_total() - m.delivered_total() - m.drops_total()
 
 

@@ -6,6 +6,13 @@ disk with the sink-centered disk through the sender). That region's area,
 divided by the number of neighbors inside it, gives an estimate of the
 spacing between relays and hence of the number of hops left on a straight
 path to the sink.
+
+`Topology` finds each sender's allowed neighbors through a uniform cell grid
+whose cell side is the radio range: every node sits in one cell, the index
+maps each occupied cell to its nodes, and a sender checks only the nodes in
+the cells its radio disk can touch. The allowed-neighbor predicate still
+decides every pair, so the neighbor lists are those of an all-pairs scan,
+at O(N) pair checks for a fixed node density instead of O(N^2).
 """
 
 from __future__ import annotations
@@ -89,6 +96,26 @@ def hops_linear(sender: Position, sink: Position, spacing: float) -> int:
     return max(1, math.ceil(distance(sender, sink) / spacing))
 
 
+def _cell_span(u: float) -> range:
+    """Cell indices along one axis that a sender at cell coordinate u reaches.
+
+    u = fl(x / c) for the cell side c >= max(r, 1e-8), and eps = 2**-53.
+    A candidate at x' that passes the predicate has
+    hypot(fl(x - x'), fl(y - y')) <= r, and math.hypot errs by under one
+    ulp, so |x - x'| <= r * (1 + 5 eps) <= c * (1 + 5 eps). Each division
+    by c adds at most eps * |x / c|, so |u - u'| <= 1 + eps * (10 + 4 |u|),
+    plus subnormal round-off under 1e-300. The margin 1e-9 * max(1, |u|)
+    exceeds that, and the rounding of u +- reach, by over five orders of
+    magnitude, and floor is monotone, so floor(u') lies in
+    [floor(u - reach), floor(u + reach)]. That is the sender's cell and its
+    two neighbors, plus one more only when u is within the margin of a cell
+    edge: a bare 3-cell span can miss an in-range candidate that rounding
+    put two cells away.
+    """
+    reach = 1.0 + 1e-9 * max(1.0, abs(u))
+    return range(math.floor(u - reach), math.floor(u + reach) + 1)
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable node placement: id -> position, plus sink id and radio range."""
@@ -97,11 +124,17 @@ class Topology:
     sink: int
     radio_range: float
     _sink_dist: dict[int, float] = field(init=False, repr=False, compare=False)
+    _cell: float = field(init=False, repr=False, compare=False)
+    # occupied cell (floor(x / cell), floor(y / cell)) -> [(id, position)];
+    # keyed by occupied cell so it holds at most N entries whatever the grid
+    _cells: dict[tuple[int, int], list[tuple[int, Position]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.sink not in self.positions:
             raise ValueError(f"sink id {self.sink} has no position")
-        if self.radio_range <= 0.0:
+        if not self.radio_range > 0.0:
             raise ValueError("radio_range must be > 0")
         sink_pos = self.positions[self.sink]
         object.__setattr__(
@@ -109,6 +142,23 @@ class Topology:
             "_sink_dist",
             {nid: distance(p, sink_pos) for nid, p in self.positions.items()},
         )
+        extent = 1.0
+        for nid, p in self.positions.items():
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(f"node {nid} has a non-finite position {p}")
+            extent = max(extent, abs(p.x), abs(p.y))
+        # The cell side is the radio range, widened only for a range under
+        # 1e-8 of max(1, largest |coordinate|). Then |x / side| <= 1e8, so
+        # the margin in _cell_span stays under 0.1 cell, and subnormal
+        # round-off is far below it. Any side of at least the range keeps
+        # the argument in _cell_span.
+        cell = max(self.radio_range, 1e-8 * extent)
+        cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
+        for nid, p in self.positions.items():
+            key = (math.floor(p.x / cell), math.floor(p.y / cell))
+            cells.setdefault(key, []).append((nid, p))
+        object.__setattr__(self, "_cell", cell)
+        object.__setattr__(self, "_cells", cells)
 
     def distance_to_sink(self, node_id: int) -> float:
         return self._sink_dist[node_id]
@@ -117,9 +167,17 @@ class Topology:
         """Ids (sorted) inside the sender's allowed region, sender excluded."""
         sender_pos = self.positions[sender]
         sink_pos = self.positions[self.sink]
-        return sorted(
-            nid
-            for nid, pos in self.positions.items()
-            if nid != sender
-            and is_allowed_neighbor(sender_pos, pos, sink_pos, self.radio_range)
-        )
+        r = self.radio_range
+        cell = self._cell
+        cells = self._cells
+        ys = _cell_span(sender_pos.y / cell)
+        found = []
+        for cx in _cell_span(sender_pos.x / cell):
+            for cy in ys:
+                for nid, pos in cells.get((cx, cy), ()):
+                    if nid != sender and is_allowed_neighbor(
+                        sender_pos, pos, sink_pos, r
+                    ):
+                        found.append(nid)
+        found.sort()
+        return found

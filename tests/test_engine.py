@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -355,8 +356,8 @@ def reference_route(sim, node, packet):
         if not st.alive:
             continue
         loads = QueueModelParams(
-            rt=ClassLoad.deterministic(st.rate_est[TrafficClass.RT].rate_at(sim.now), x),
-            nrt=ClassLoad.deterministic(st.rate_est[TrafficClass.NRT].rate_at(sim.now), x),
+            rt=ClassLoad.deterministic(st.rate_rt.rate_at(sim.now), x),
+            nrt=ClassLoad.deterministic(st.rate_nrt.rate_at(sim.now), x),
         )
         stats = node.link_stats.get(nid)
         views.append(
@@ -446,7 +447,8 @@ class TestRouteMatchesReference:
             states[b] = states[a][:4] + (states[b][4],)
         for nid, (lam1, lam2, residual, outcomes, alive) in states.items():
             st = sim.nodes[nid]
-            st.rate_est = {TrafficClass.RT: FixedRate(lam1), TrafficClass.NRT: FixedRate(lam2)}
+            st.rate_rt = FixedRate(lam1)
+            st.rate_nrt = FixedRate(lam2)
             if st.battery is not None:
                 st.battery = Battery(residual)
             st.alive = alive
@@ -492,39 +494,93 @@ class TestRouteMatchesReference:
             assert seen[case] >= 20, (case, seen)
 
     def test_negative_arrival_rate_is_an_error(self):
-        sim = self.sim()
-        sim.nodes[2].rate_est[TrafficClass.RT] = FixedRate(-1.0)
-        packet = Packet(0, TrafficClass.RT, 100, self.SENDER, SINK_ID, 0.0, 1.0)
-        with pytest.raises(ValueError, match="arrival rate"):
-            sim._route(sim.nodes[self.SENDER], packet)
+        for estimator in ("rate_rt", "rate_nrt"):
+            sim = self.sim()
+            setattr(sim.nodes[2], estimator, FixedRate(-1.0))
+            packet = Packet(0, TrafficClass.RT, 100, self.SENDER, SINK_ID, 0.0, 1.0)
+            with pytest.raises(ValueError, match="arrival rate"):
+                sim._route(sim.nodes[self.SENDER], packet)
+
+
+# Battery.debit stand-ins that break the energy ledger.
+
+
+def leaky_debit(self, amount):
+    """Reports more joules than it takes from the battery."""
+    if not self.alive:
+        return 0.0
+    self.consumed += 0.5 * amount
+    return amount
+
+
+def overdrawing_debit(self, amount):
+    """Takes the full amount on a shortfall, so consumed passes initial."""
+    if not self.alive:
+        return 0.0
+    if amount > self.residual:
+        self.alive = False
+    self.consumed += amount
+    return amount
+
+
+class TestEnergyLedgerClosure:
+    @pytest.mark.parametrize(
+        "debit,cfg,message",
+        [
+            (leaky_debit, two_node_cfg(rate_rt=40.0, duration=20.0),
+             "energy ledger does not close"),
+            (overdrawing_debit, TestNodeDeath().death_cfg(),
+             "battery of node 1 does not close"),
+        ],
+        ids=["leaky", "overdrawing"],
+    )
+    def test_broken_debit_stops_the_run(self, monkeypatch, debit, cfg, message):
+        monkeypatch.setattr(Battery, "debit", debit)
+        with pytest.raises(RuntimeError, match=message):
+            run(cfg)
 
 
 def test_invariant_checks_run_under_python_O():
-    # a hop trace that moves away from the sink must stop the run even
-    # when asserts are compiled out
-    script = textwrap.dedent(
-        """
-        import itertools
-        import sys
-
-        from wsnqos.config import ScenarioConfig
-        from wsnqos.engine import run
-        from wsnqos.geometry import Topology
-
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
-        rising = itertools.count()
-        Topology.distance_to_sink = lambda self, node_id: float(next(rising))
-        run(ScenarioConfig(node_count=2, positions={1: (550.0, 500.0)},
-                           sources=(1,), rate_rt=0.01, rate_nrt=0.0, duration=1000.0))
-        """
-    )
+    # a hop trace that moves away from the sink, and a leaky battery debit,
+    # must each stop the run even when asserts are compiled out
+    cases = [
+        (
+            """
+            import itertools
+            from wsnqos.geometry import Topology
+            rising = itertools.count()
+            Topology.distance_to_sink = lambda self, node_id: float(next(rising))
+            """,
+            "RuntimeError: hop trace of packet 0 moved away from the sink",
+        ),
+        (
+            "from wsnqos.energy import Battery\n"
+            + inspect.getsource(leaky_debit)
+            + "Battery.debit = leaky_debit\n",
+            "RuntimeError: energy ledger does not close",
+        ),
+    ]
     src = str(Path(wsnqos.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "RuntimeError: hop trace of packet 0 moved away from the sink" in proc.stderr
+    for breakage, message in cases:
+        script = textwrap.dedent(
+            """
+            import sys
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            """
+        ) + textwrap.dedent(breakage) + textwrap.dedent(
+            """
+            from wsnqos.config import ScenarioConfig
+            from wsnqos.engine import run
+            run(ScenarioConfig(node_count=2, positions={1: (550.0, 500.0)},
+                               sources=(1,), rate_rt=0.01, rate_nrt=0.0, duration=1000.0))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnqos import geometry
+from wsnqos.config import ScenarioConfig
+from wsnqos.engine import Simulation
 from wsnqos.geometry import (
     NoNeighborsError,
     Position,
@@ -189,6 +192,7 @@ class TestTopology:
                 nid
                 for nid, pos in sorted(topo.positions.items())
                 if nid != sender
+                and pos != topo.positions[sender]
                 and distance(topo.positions[sender], pos) <= topo.radio_range
                 and distance(pos, sink_pos) <= distance(topo.positions[sender], sink_pos)
             ]
@@ -201,3 +205,183 @@ class TestTopology:
     def test_missing_sink_rejected(self):
         with pytest.raises(ValueError):
             Topology({1: Position(0, 0)}, sink=0, radio_range=10.0)
+
+
+def all_pairs_allowed(topo, sender):
+    """The all-pairs scan the cell index replaced, kept as the reference."""
+    sender_pos = topo.positions[sender]
+    sink_pos = topo.positions[topo.sink]
+    return sorted(
+        nid
+        for nid, pos in topo.positions.items()
+        if nid != sender
+        and is_allowed_neighbor(sender_pos, pos, sink_pos, topo.radio_range)
+    )
+
+
+def assert_matches_all_pairs(points, radio_range, sink=0):
+    topo = Topology(
+        {nid: Position(x, y) for nid, (x, y) in enumerate(points)}, sink, radio_range
+    )
+    total = 0
+    for sender in topo.positions:
+        expected = all_pairs_allowed(topo, sender)
+        assert topo.allowed_neighbor_ids(sender) == expected, sender
+        total += len(expected)
+    return total
+
+
+def lattice(radio_range, span, origin=(0.0, 0.0)):
+    """Points on exact multiples of radio_range: every one on a cell edge."""
+    ox, oy = origin
+    return [
+        (ox + i * radio_range, oy + j * radio_range)
+        for i in range(-span, span + 1)
+        for j in range(-span, span + 1)
+    ]
+
+
+class TestCellIndexMatchesAllPairs:
+    """Topology.allowed_neighbor_ids against the all-pairs scan."""
+
+    @pytest.mark.parametrize("r", [10.0, 0.1, 1.0 / 3.0, 87.70580193070293])
+    def test_nodes_on_cell_edges(self, r):
+        points = lattice(r, 4)
+        # also one ulp either side of each edge
+        points += [(math.nextafter(x, -math.inf), math.nextafter(y, math.inf))
+                   for x, y in lattice(r, 2)]
+        assert assert_matches_all_pairs(points, r) > 0
+
+    @pytest.mark.parametrize("r", [5.0, 0.1, 87.70580193070293])
+    def test_pairs_exactly_one_range_apart(self, r):
+        points = [(0.0, 0.0)]
+        for k in (0, 1, 3, 7):
+            base = (k * r, -k * r)
+            points += [
+                base,
+                (base[0] + r, base[1]),  # along an axis
+                (base[0], base[1] + r),
+                (base[0] + 0.6 * r, base[1] + 0.8 * r),  # along a diagonal
+                (base[0] - r / math.sqrt(2.0), base[1] - r / math.sqrt(2.0)),
+            ]
+        assert assert_matches_all_pairs(points, r) > 0
+        # the 3-4-5 pair is exactly 5 apart and in range
+        topo = Topology({0: Position(10.0, 10.0), 1: Position(3.0, 4.0),
+                         2: Position(0.0, 0.0)}, sink=0, radio_range=5.0)
+        assert topo.allowed_neighbor_ids(2) == [1]
+
+    def test_range_apart_across_two_cell_boundaries(self):
+        # x = -1e-17 sits in cell -1 and x = 10 in cell 1, yet fl(10 + 1e-17)
+        # = 10 is in range: a bare 3x3 block around the sender misses it
+        points = [(20.0, 5.0), (-1e-17, 5.0), (10.0, 5.0), (-1e-300, 5.0)]
+        topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
+                        sink=0, radio_range=10.0)
+        assert topo.allowed_neighbor_ids(1) == [2, 3]
+        assert topo.allowed_neighbor_ids(3) == [1, 2]
+        assert_matches_all_pairs(points, 10.0)
+
+    def test_coincident_nodes_exclude_each_other(self):
+        points = [(0.0, 0.0), (30.0, 40.0), (30.0, 40.0), (30.0, 40.0), (10.0, 10.0)]
+        topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
+                        sink=0, radio_range=100.0)
+        assert topo.allowed_neighbor_ids(1) == [0, 4]
+        assert_matches_all_pairs(points, 100.0)
+
+    def test_node_at_the_sink(self):
+        points = [(50.0, 50.0), (50.0, 50.0), (60.0, 50.0), (50.0, 140.0)]
+        topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
+                        sink=0, radio_range=20.0)
+        # coincident with the sink, so neither may forward to the other
+        assert topo.allowed_neighbor_ids(1) == []
+        assert topo.allowed_neighbor_ids(2) == [0, 1]
+        assert_matches_all_pairs(points, 20.0)
+
+    def test_range_larger_than_the_grid(self):
+        rng = np.random.default_rng(3)
+        points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 100.0, (60, 2))]
+        topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
+                        sink=0, radio_range=1e4)
+        assert len(topo._cells) == 1
+        # all in reach: each sender's neighbors are the nodes nearer the sink
+        assert assert_matches_all_pairs(points, 1e4) == 59 * 60 // 2
+
+    def test_tiny_range_on_a_huge_grid(self):
+        r = 1e-3  # grid / range = 1e7
+        points = [(5e3, 5e3)]
+        for base in ((1e4, 1e4), (0.0, 1e4), (1234.567, 8765.4321)):
+            points += lattice(r, 2, origin=base)
+            points += [(base[0] + 0.3 * r, base[1] - 0.9 * r),
+                       (math.nextafter(base[0] + r, 0.0), base[1])]
+        assert assert_matches_all_pairs(points, r) > 0
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-320])
+    def test_range_far_below_the_coordinate_scale(self, r):
+        # cells wider than the range keep x / cell finite and few cells per
+        # sender; a pair 0.1 * r apart, and one subnormal distance apart,
+        # must still be found
+        points = [(500.0, 0.0), (500.0, 1e-321), (500.0, 0.0 + 0.1 * r),
+                  (1e4, 1e4), (math.nextafter(1e4, 0.0), 1e4), (0.0, 0.0), (2e-321, 0.0)]
+        topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
+                        sink=0, radio_range=r)
+        assert topo.allowed_neighbor_ids(1) == [0]
+        assert assert_matches_all_pairs(points, r) >= 1
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(11)
+        points = [(-250.0, -400.0)]
+        points += [(float(x), float(y)) for x, y in rng.uniform(-500.0, 0.0, (150, 2))]
+        points += lattice(50.0, 3, origin=(-300.0, -300.0))
+        assert assert_matches_all_pairs(points, 50.0) > 0
+
+    @settings(deadline=None)
+    @given(
+        r=st.floats(1e-3, 500.0),
+        nodes=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
+                st.integers(-2, 2),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_matches_all_pairs(self, r, nodes):
+        # integer coordinates are cell multiples k * r, moved by a few ulps
+        def coord(c, ulps):
+            if isinstance(c, float):
+                return c
+            v = c * r
+            for _ in range(abs(ulps)):
+                v = math.nextafter(v, math.copysign(math.inf, ulps))
+            return v
+
+        points = [(0.0, 0.0)] + [(coord(x, u), coord(y, -u)) for x, y, u in nodes]
+        assert_matches_all_pairs(points, r)
+
+
+def test_cell_index_checks_few_pairs(monkeypatch):
+    """At the default density, set-up checks O(N) pairs, not N^2."""
+    calls = 0
+    check = geometry.is_allowed_neighbor
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check(*args)
+
+    monkeypatch.setattr(geometry, "is_allowed_neighbor", counted)
+    n = 3000
+    side = 1000.0 * math.sqrt(n / 300)  # the default 300 nodes per km^2
+    sim = Simulation(ScenarioConfig(node_count=n, grid_width=side, grid_height=side,
+                                    rate_rt=0.001, rate_nrt=0.001, duration=1.0))
+    assert sum(map(len, sim.allowed_static.values())) > n
+    assert calls < 0.05 * n * n
+    assert len(sim.topology._cells) <= n
+
+
+def test_non_finite_positions_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        Topology({0: Position(0.0, 0.0), 1: Position(math.nan, 1.0)}, 0, 10.0)
+    with pytest.raises(ValueError, match="radio_range"):
+        Topology({0: Position(0.0, 0.0)}, 0, math.nan)
