@@ -164,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, **overrides)
         if args.seeds < 1:
             raise ConfigError("seeds", "must be >= 1")
+        run_cfgs = [
+            replace(cfg, seed=seed) for seed in range(cfg.seed, cfg.seed + args.seeds)
+        ]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -173,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
 
     metric_rows = []
     tl_rows = []
-    for seed in range(cfg.seed, cfg.seed + args.seeds):
-        run_cfg = replace(cfg, seed=seed)
+    for run_cfg in run_cfgs:
+        seed = run_cfg.seed
         metrics = run(run_cfg)
         metric_rows.append(metrics_row(seed, metrics))
         tl_rows.extend(timeline_rows(seed, run_cfg, metrics))

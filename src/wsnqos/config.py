@@ -29,12 +29,16 @@ Key reference (defaults in parentheses):
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
     timeline_bucket (duration / 100)          timeline.csv bucket width, s
+
+Each scalar key's parser and allowed range sit on its `ScenarioConfig`
+field. Numbers must be finite; a value out of range raises `ConfigError`
+naming the key, and the command line exits 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .energy import RadioParams, crossover_distance
 from .routing import CostWeights
@@ -48,147 +52,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
-
-
-@dataclass
-class ScenarioConfig:
-    grid_width: float = 1000.0
-    grid_height: float = 1000.0
-    node_count: int = 300
-    sink_x: float | None = None
-    sink_y: float | None = None
-    positions: dict[int, tuple[float, float]] = field(default_factory=dict)
-    e_elec_nj: float = 50.0
-    eps_fs_pj: float = 10.0
-    eps_amp_pj: float = 0.0013
-    bandwidth: float = 250_000.0
-    radio_range: float | None = None
-    packet_bits: int = 100
-    initial_energy: float = 2.0
-    rate_rt: float = 1.0
-    rate_nrt: float = 1.0
-    deadline_rt: float = 0.05
-    deadline_nrt: float = 0.5
-    sources: tuple[int, ...] | None = None
-    alpha: float = 0.6
-    beta: float = 0.3
-    gamma: float = 0.1
-    prr_window: int = 100
-    queue_capacity: int = 64
-    loss: float = 0.0
-    link_loss: dict[tuple[int, int], float] = field(default_factory=dict)
-    predictive_drop: bool = True
-    include_service_time: bool = True
-    rate_tau: float = 1.0
-    duration: float = 1000.0
-    seed: int = 1
-    timeline_bucket: float | None = None
-
-    def __post_init__(self) -> None:
-        self._validate_raw()
-        if self.sink_x is None:
-            self.sink_x = self.grid_width / 2.0
-        if self.sink_y is None:
-            self.sink_y = self.grid_height / 2.0
-        if self.radio_range is None:
-            self.radio_range = crossover_distance(self.radio_params())
-        if self.timeline_bucket is None:
-            self.timeline_bucket = self.duration / 100.0 if self.duration > 0 else 1.0
-        self._validate_resolved()
-
-    def _validate_raw(self) -> None:
-        for key, (attr, parse) in _SCALAR_KEYS.items():
-            value = getattr(self, attr)
-            if parse is _parse_float and value is not None and not math.isfinite(value):
-                raise ConfigError(key, f"must be finite, got {value}")
-        positive = [
-            ("grid.width", self.grid_width),
-            ("grid.height", self.grid_height),
-            ("radio.e_elec_nj", self.e_elec_nj),
-            ("radio.eps_fs_pj", self.eps_fs_pj),
-            ("radio.eps_amp_pj", self.eps_amp_pj),
-            ("radio.bandwidth", self.bandwidth),
-            ("initial_energy", self.initial_energy),
-            ("deadline.rt", self.deadline_rt),
-            ("deadline.nrt", self.deadline_nrt),
-        ]
-        for key, value in positive:
-            if value <= 0:
-                raise ConfigError(key, f"must be > 0, got {value}")
-        if self.node_count < 2:
-            raise ConfigError("node_count", f"must be >= 2, got {self.node_count}")
-        if self.packet_bits < 1:
-            raise ConfigError("packet_bits", f"must be >= 1, got {self.packet_bits}")
-        for key, value in (("rate.rt", self.rate_rt), ("rate.nrt", self.rate_nrt)):
-            if value < 0:
-                raise ConfigError(key, f"must be >= 0, got {value}")
-        for key, value in (
-            ("alpha", self.alpha),
-            ("beta", self.beta),
-            ("gamma", self.gamma),
-        ):
-            if value < 0:
-                raise ConfigError(key, f"must be >= 0, got {value}")
-        if self.alpha == self.beta == self.gamma == 0:
-            raise ConfigError("alpha", "cost weights must not all be zero")
-        if self.prr_window < 1:
-            raise ConfigError("prr_window", "must be >= 1")
-        if self.queue_capacity < 1:
-            raise ConfigError("queue_capacity", "must be >= 1")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ConfigError("loss", f"must be in [0, 1], got {self.loss}")
-        for (u, v), p in self.link_loss.items():
-            key = f"loss.{u}.{v}"
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(key, f"must be in [0, 1], got {p}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
-                raise ConfigError(key, "link endpoints must be distinct node ids")
-        if self.rate_tau <= 0.0:
-            raise ConfigError("rate_tau", "must be > 0")
-        if self.duration < 0:
-            raise ConfigError("duration", f"must be >= 0, got {self.duration}")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ConfigError("seed", "must fit an unsigned 64-bit integer")
-        if self.radio_range is not None and self.radio_range <= 0:
-            raise ConfigError("radio.range", "must be > 0")
-        if self.timeline_bucket is not None and self.timeline_bucket <= 0:
-            raise ConfigError("timeline_bucket", "must be > 0")
-        for nid, (x, y) in self.positions.items():
-            key = f"position.{nid}"
-            if nid == SINK_ID:
-                raise ConfigError(key, "id 0 is the sink; set sink.x / sink.y")
-            if not 1 <= nid < self.node_count:
-                raise ConfigError(key, f"node id out of range 1..{self.node_count - 1}")
-            if not (0.0 <= x <= self.grid_width and 0.0 <= y <= self.grid_height):
-                raise ConfigError(key, "position outside the grid")
-        if self.sources is not None:
-            for nid in self.sources:
-                if not 1 <= nid < self.node_count:
-                    raise ConfigError(
-                        "sources", f"node id {nid} out of range 1..{self.node_count - 1}"
-                    )
-
-    def _validate_resolved(self) -> None:
-        if not (0.0 <= self.sink_x <= self.grid_width):
-            raise ConfigError("sink.x", "sink outside the grid")
-        if not (0.0 <= self.sink_y <= self.grid_height):
-            raise ConfigError("sink.y", "sink outside the grid")
-
-    def radio_params(self) -> RadioParams:
-        return RadioParams.from_table_units(
-            self.e_elec_nj, self.eps_fs_pj, self.eps_amp_pj, self.bandwidth
-        )
-
-    def weights(self) -> CostWeights:
-        return CostWeights(self.alpha, self.beta, self.gamma)
-
-    def loss_for(self, u: int, v: int) -> float:
-        return self.link_loss.get((u, v), self.loss)
-
-    def source_ids(self) -> list[int]:
-        if self.sources is None:
-            return list(range(1, self.node_count))
-        return sorted(set(self.sources))
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -220,36 +83,154 @@ def _parse_sources(key: str, raw: str) -> tuple[int, ...] | None:
     return tuple(_parse_int(key, part.strip()) for part in raw.split(","))
 
 
+def _key(key, parse, default, low=None, high=None, *, above=False):
+    """A scalar field read from `key` by `parse`. A float value must be
+    finite, and a value other than None must be >= low (> low when `above`)
+    and <= high; a None bound is not checked."""
+    return field(
+        default=default,
+        metadata={"key": key, "parse": parse, "range": (low, high, above)},
+    )
+
+
+@dataclass
+class ScenarioConfig:
+    grid_width: float = _key("grid.width", _parse_float, 1000.0, 0, above=True)
+    grid_height: float = _key("grid.height", _parse_float, 1000.0, 0, above=True)
+    node_count: int = _key("node_count", _parse_int, 300, 2)
+    sink_x: float | None = _key("sink.x", _parse_float, None)
+    sink_y: float | None = _key("sink.y", _parse_float, None)
+    positions: dict[int, tuple[float, float]] = field(default_factory=dict)
+    e_elec_nj: float = _key("radio.e_elec_nj", _parse_float, 50.0)
+    eps_fs_pj: float = _key("radio.eps_fs_pj", _parse_float, 10.0)
+    eps_amp_pj: float = _key("radio.eps_amp_pj", _parse_float, 0.0013)
+    bandwidth: float = _key("radio.bandwidth", _parse_float, 250_000.0)
+    radio_range: float | None = _key("radio.range", _parse_float, None, 0, above=True)
+    packet_bits: int = _key("packet_bits", _parse_int, 100, 1)
+    initial_energy: float = _key("initial_energy", _parse_float, 2.0, 0, above=True)
+    rate_rt: float = _key("rate.rt", _parse_float, 1.0, 0)
+    rate_nrt: float = _key("rate.nrt", _parse_float, 1.0, 0)
+    deadline_rt: float = _key("deadline.rt", _parse_float, 0.05, 0, above=True)
+    deadline_nrt: float = _key("deadline.nrt", _parse_float, 0.5, 0, above=True)
+    sources: tuple[int, ...] | None = _key("sources", _parse_sources, None)
+    alpha: float = _key("alpha", _parse_float, 0.6)
+    beta: float = _key("beta", _parse_float, 0.3)
+    gamma: float = _key("gamma", _parse_float, 0.1)
+    prr_window: int = _key("prr_window", _parse_int, 100, 1)
+    queue_capacity: int = _key("queue_capacity", _parse_int, 64, 1)
+    loss: float = _key("loss", _parse_float, 0.0, 0, 1)
+    link_loss: dict[tuple[int, int], float] = field(default_factory=dict)
+    predictive_drop: bool = _key("predictive_drop", _parse_bool, True)
+    include_service_time: bool = _key("include_service_time", _parse_bool, True)
+    rate_tau: float = _key("rate_tau", _parse_float, 1.0, 0, above=True)
+    duration: float = _key("duration", _parse_float, 1000.0, 0)
+    seed: int = _key("seed", _parse_int, 1, 0, 2**64 - 1)
+    timeline_bucket: float | None = _key(
+        "timeline_bucket", _parse_float, None, 0, above=True
+    )
+
+    def __post_init__(self) -> None:
+        # CostWeights and RadioParams own their rules; the radio one sees
+        # the values after the nJ/pJ -> SI conversion, which can underflow
+        try:
+            self.weights()
+        except ValueError as exc:
+            raise ConfigError("alpha/beta/gamma", str(exc)) from None
+        try:
+            radio = self.radio_params()
+        except ValueError as exc:
+            raise ConfigError("radio", f"{exc} in SI units") from None
+        if self.sink_x is None:
+            self.sink_x = self.grid_width / 2.0
+        if self.sink_y is None:
+            self.sink_y = self.grid_height / 2.0
+        if self.radio_range is None:
+            self.radio_range = crossover_distance(radio)
+        if self.timeline_bucket is None:
+            self.timeline_bucket = self.duration / 100.0 if self.duration > 0 else 1.0
+        # defaults resolve from earlier fields, so a bad input is named
+        # before a value derived from it
+        for f in fields(self):
+            if "key" not in f.metadata:
+                continue
+            key, value = f.metadata["key"], getattr(self, f.name)
+            low, high, above = f.metadata["range"]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(key, f"must be finite, got {value}")
+            if low is not None and (value <= low if above else value < low):
+                bound = f"> {low}" if above else f">= {low}"
+                raise ConfigError(key, f"must be {bound}, got {value}")
+            if high is not None and value > high:
+                raise ConfigError(key, f"must be <= {high}, got {value}")
+        self._validate_cross_field()
+
+    def _validate_cross_field(self) -> None:
+        for nid, (x, y) in self.positions.items():
+            key = f"position.{nid}"
+            if nid == SINK_ID:
+                raise ConfigError(key, "id 0 is the sink; set sink.x / sink.y")
+            if not 1 <= nid < self.node_count:
+                raise ConfigError(key, f"node id out of range 1..{self.node_count - 1}")
+            if not (0.0 <= x <= self.grid_width and 0.0 <= y <= self.grid_height):
+                raise ConfigError(key, "position outside the grid")
+        if self.sources is not None:
+            for nid in self.sources:
+                if not 1 <= nid < self.node_count:
+                    raise ConfigError(
+                        "sources", f"node id {nid} out of range 1..{self.node_count - 1}"
+                    )
+        for (u, v), p in self.link_loss.items():
+            key = f"loss.{u}.{v}"
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(key, f"must be in [0, 1], got {p}")
+            if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
+                raise ConfigError(key, "link endpoints must be distinct node ids")
+        if not (0.0 <= self.sink_x <= self.grid_width):
+            raise ConfigError("sink.x", "sink outside the grid")
+        if not (0.0 <= self.sink_y <= self.grid_height):
+            raise ConfigError("sink.y", "sink outside the grid")
+        try:
+            service = self.packet_bits / self.bandwidth
+        except OverflowError:
+            service = math.inf
+        if not math.isfinite(service):
+            raise ConfigError(
+                "packet_bits/radio.bandwidth",
+                f"service time must be finite, got {service}",
+            )
+        # the smallest budget that every creation time up to the horizon
+        # can add to and still end later than it started
+        least = math.ulp(self.duration) / 2.0
+        for key, budget in (
+            ("deadline.rt", self.deadline_rt),
+            ("deadline.nrt", self.deadline_nrt),
+        ):
+            if not budget > least:
+                raise ConfigError(
+                    key, f"must be > {least!r}, half an ulp of duration, got {budget}"
+                )
+
+    def radio_params(self) -> RadioParams:
+        return RadioParams.from_table_units(
+            self.e_elec_nj, self.eps_fs_pj, self.eps_amp_pj, self.bandwidth
+        )
+
+    def weights(self) -> CostWeights:
+        return CostWeights(self.alpha, self.beta, self.gamma)
+
+    def loss_for(self, u: int, v: int) -> float:
+        return self.link_loss.get((u, v), self.loss)
+
+    def source_ids(self) -> list[int]:
+        if self.sources is None:
+            return list(range(1, self.node_count))
+        return sorted(set(self.sources))
+
+
 _SCALAR_KEYS = {
-    "grid.width": ("grid_width", _parse_float),
-    "grid.height": ("grid_height", _parse_float),
-    "node_count": ("node_count", _parse_int),
-    "sink.x": ("sink_x", _parse_float),
-    "sink.y": ("sink_y", _parse_float),
-    "radio.e_elec_nj": ("e_elec_nj", _parse_float),
-    "radio.eps_fs_pj": ("eps_fs_pj", _parse_float),
-    "radio.eps_amp_pj": ("eps_amp_pj", _parse_float),
-    "radio.bandwidth": ("bandwidth", _parse_float),
-    "radio.range": ("radio_range", _parse_float),
-    "packet_bits": ("packet_bits", _parse_int),
-    "initial_energy": ("initial_energy", _parse_float),
-    "rate.rt": ("rate_rt", _parse_float),
-    "rate.nrt": ("rate_nrt", _parse_float),
-    "deadline.rt": ("deadline_rt", _parse_float),
-    "deadline.nrt": ("deadline_nrt", _parse_float),
-    "sources": ("sources", _parse_sources),
-    "alpha": ("alpha", _parse_float),
-    "beta": ("beta", _parse_float),
-    "gamma": ("gamma", _parse_float),
-    "prr_window": ("prr_window", _parse_int),
-    "queue_capacity": ("queue_capacity", _parse_int),
-    "loss": ("loss", _parse_float),
-    "predictive_drop": ("predictive_drop", _parse_bool),
-    "include_service_time": ("include_service_time", _parse_bool),
-    "rate_tau": ("rate_tau", _parse_float),
-    "duration": ("duration", _parse_float),
-    "seed": ("seed", _parse_int),
-    "timeline_bucket": ("timeline_bucket", _parse_float),
+    f.metadata["key"]: (f.name, f.metadata["parse"])
+    for f in fields(ScenarioConfig)
+    if "key" in f.metadata
 }
 
 

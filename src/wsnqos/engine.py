@@ -318,9 +318,7 @@ class Simulation:
         packet = Packet(
             packet_id=self._next_packet_id,
             cls=cls,
-            size_bits=self.cfg.packet_bits,
             source=nid,
-            sink=SINK_ID,
             created_at=self.now,
             deadline=self.now + budget,
         )
@@ -374,7 +372,7 @@ class Simulation:
             self.metrics.wait_count[key] += 1
             queues.in_service = packet
             self._push(
-                self.now + service_time(packet, self.radio),
+                self.now + service_time(self.cfg.packet_bits, self.radio),
                 EventKind.TRANSMISSION_COMPLETE,
                 node.node_id,
                 packet=packet,
@@ -464,7 +462,7 @@ class Simulation:
         return best
 
     def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
-        k = packet.size_bits
+        k = self.cfg.packet_bits
         target = self.nodes[target_id]
         amount = tx_energy(k, distance(sender.position, target.position), self.radio)
         self.metrics.total_energy += sender.battery.debit(amount)
@@ -568,7 +566,12 @@ class Simulation:
     def _finalize(self) -> None:
         m = self.metrics
         m.end_time = self.now
+        in_flight = 0
         for nid, st in self.nodes.items():
+            queues = st.queues
+            in_flight += len(queues.rt) + len(queues.nrt)
+            if queues.in_service is not None:
+                in_flight += 1
             battery = st.battery
             if battery is not None:
                 consumed, residual = battery.consumed, battery.residual
@@ -587,7 +590,15 @@ class Simulation:
                 f"energy ledger does not close: per-node sum {per_node!r} "
                 f"!= total_energy {m.total_energy!r}"
             )
-        m.in_flight = m.generated_total() - m.delivered_total() - m.drops_total()
+        m.in_flight = in_flight
+        generated, delivered, dropped = (
+            m.generated_total(), m.delivered_total(), m.drops_total()
+        )
+        if generated != delivered + dropped + in_flight:
+            raise RuntimeError(
+                f"packets do not add up: generated {generated} != delivered "
+                f"{delivered} + dropped {dropped} + in flight {in_flight}"
+            )
 
 
 def run(cfg: ScenarioConfig, collect_traces: bool = False) -> Metrics:

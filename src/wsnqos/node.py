@@ -26,16 +26,12 @@ class Packet:
 
     packet_id: int
     cls: TrafficClass
-    size_bits: int
     source: int
-    sink: int
     created_at: float
     deadline: float
     hop_trace: list[tuple[int, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.size_bits <= 0:
-            raise ValueError("size_bits must be > 0")
         if self.deadline <= self.created_at:
             raise ValueError("deadline must be after creation time")
         if not self.hop_trace:
@@ -90,9 +86,9 @@ def expire_drops(queues: NodeQueues, now: float) -> list[Packet]:
     return dropped
 
 
-def service_time(packet: Packet, radio: RadioParams) -> float:
-    """Deterministic transmission time of the packet: size / bandwidth."""
-    return packet.size_bits / radio.bandwidth
+def service_time(bits: int, radio: RadioParams) -> float:
+    """Deterministic transmission time of a packet of `bits`: bits / bandwidth."""
+    return bits / radio.bandwidth
 
 
 class RateEstimator:

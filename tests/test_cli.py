@@ -1,6 +1,22 @@
-import pytest
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wsnqos
 from wsnqos.cli import METRICS_COLUMNS, TIMELINE_COLUMNS, main
+from wsnqos.config import (
+    _SCALAR_KEYS,
+    ConfigError,
+    _parse_bool,
+    _parse_sources,
+    parse_config,
+)
 
 ONE_PACKET_SCENARIO = """\
 # single sensor 50 m from the sink; exactly one packet at this seed
@@ -140,6 +156,13 @@ def test_invalid_seeds_value(tmp_path, scenario_file, capsys):
     assert main(["--config", str(scenario_file), "--seeds", "0"]) == 2
 
 
+def test_sweep_past_the_largest_seed_is_a_config_error(tmp_path, scenario_file, capsys):
+    argv = ["--config", str(scenario_file), "--out", str(tmp_path), "--quiet"]
+    assert main(argv + ["--seed", str(2**64 - 1), "--seeds", "2"]) == 2
+    assert "config error: seed" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -158,3 +181,142 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
     key = line.split("=")[0].strip()
     assert f"{key}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+# Inputs that passed the parser once and then broke the run: radio constants
+# that underflow to 0 J in SI units, deadline budgets the clock cannot add to
+# a creation time, a packet too big for a float and a zero-length packet, an
+# infinite service time.
+REJECTED_INPUTS = [
+    ("radio.e_elec_nj = 1e-320", "radio: e_elec"),
+    ("radio.eps_amp_pj = 1e-320", "radio: eps_amp"),
+    ("deadline.rt = 1e-17", "deadline.rt"),
+    ("deadline.nrt = 1e-300", "deadline.nrt"),
+    (f"packet_bits = {10**400}", "packet_bits/radio.bandwidth"),
+    ("packet_bits = 0", "packet_bits"),
+    ("radio.bandwidth = 1e-320", "packet_bits/radio.bandwidth"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, key", REJECTED_INPUTS, ids=[line[:30] for line, _ in REJECTED_INPUTS]
+)
+def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(ONE_PACKET_SCENARIO + line + "\n")
+    assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_module_entry_point_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(ONE_PACKET_SCENARIO + REJECTED_INPUTS[0][0] + "\n")
+    src = str(Path(wsnqos.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsnqos", "--config", str(bad), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: radio: e_elec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+# Values a scenario file may spell. EDGES are in range for most keys: signed
+# zeros, subnormals, the ends of the float range and a big int; INVALID are
+# non-finite, negative, too big for a float, or no number at all.
+EDGES = [
+    "0", "-0.0", "5e-324", "1e-320", "2.2250738585072014e-308", "1e-300", "1e-17",
+    "0.5", "2", "1e300", "1.7976931348623157e308", "1" + "0" * 400,
+]
+INVALID = [
+    "nan", "-nan", "inf", "-inf", "-1", "-5e-324", "1e400", "-" + "9" * 30, "0x10", "",
+    "one", "1,2",
+]
+# one line of text: no line breaks, no comment mark, nothing a file cannot hold
+garbage = st.text(
+    st.characters(
+        blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#"
+    ),
+    max_size=6,
+)
+numbers = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(0.0, 1000.0).map(repr),
+    st.integers(1, 200).map(str),
+    st.sampled_from(INVALID),
+    st.floats().map(repr),
+    st.integers().map(str),
+    garbage,
+)
+small_ids = st.integers(-1, 13).map(str)
+
+# Keys whose accepted values set the size of a run: at most 12 nodes, 0.05 s
+# simulated, rate x duration <= 100 arrivals per stream (arrivals are drawn
+# up front, so a huge rate exhausts memory) and at most 50 timeline rows.
+BOUNDED = {
+    "node_count": st.one_of(st.integers(-2, 12).map(str), st.sampled_from(INVALID)),
+    "duration": st.one_of(
+        st.floats(0.0, 0.05).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+    ),
+    "rate.rt": st.one_of(
+        st.floats(0.0, 2e3).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+    ),
+    "rate.nrt": st.one_of(
+        st.floats(0.0, 2e3).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+    ),
+    "timeline_bucket": st.one_of(
+        st.floats(1e-3, 1e308).map(repr), st.sampled_from(INVALID + ["0", "-0.0"])
+    ),
+}
+
+
+def value_strategy(key, parse):
+    if key in BOUNDED:
+        return BOUNDED[key]
+    if parse is _parse_bool:
+        return st.sampled_from(["true", "false", "TRUE", "False", "yes", "1", ""])
+    if parse is _parse_sources:
+        listed = st.lists(st.integers(-1, 13), min_size=1, max_size=4)
+        joined = listed.map(lambda ids: ",".join(map(str, ids)))
+        return st.one_of(st.just("all"), joined, numbers)
+    return numbers
+
+
+FUZZED = {key: value_strategy(key, parse) for key, (_, parse) in _SCALAR_KEYS.items()}
+
+
+@st.composite
+def scenario_text(draw):
+    lines = [
+        f"node_count = {draw(st.integers(2, 12))}",
+        f"duration = {draw(st.floats(0.0, 0.05))!r}",
+    ]
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZED)), max_size=4)):
+        lines.append(f"{key} = {draw(FUZZED[key])}")
+    ids = st.one_of(st.integers(1, 11).map(str), small_ids, garbage)
+    coords = st.one_of(st.floats(0.0, 1000.0).map(repr), numbers)
+    for _ in range(draw(st.integers(0, 1))):
+        lines.append(f"position.{draw(ids)} = {draw(coords)},{draw(coords)}")
+    for _ in range(draw(st.integers(0, 1))):
+        p = draw(st.one_of(st.floats(0.0, 1.0).map(repr), numbers))
+        lines.append(f"loss.{draw(ids)}.{draw(small_ids)} = {p}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=scenario_text())
+def test_every_scenario_runs_or_is_a_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["--config", str(path), "--out", tmp, "--quiet"]
+        try:
+            parse_config(text)
+        except ConfigError:
+            assert main(argv) == 2
+        else:
+            assert main(argv) == 0

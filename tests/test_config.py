@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
 
+from wsnqos import config
 from wsnqos.config import (
     _SCALAR_KEYS,
     ConfigError,
@@ -128,6 +130,14 @@ class TestRoundTrip:
         mapped = {attr for attr, _ in _SCALAR_KEYS.values()}
         declared = {f.name for f in fields(ScenarioConfig)} - {"positions", "link_loss"}
         assert mapped == declared
+
+    def test_key_reference_names_every_scalar_key(self):
+        missing = [
+            key
+            for key in _SCALAR_KEYS
+            if not re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", config.__doc__)
+        ]
+        assert missing == []
 
 
 class TestLoadConfig:

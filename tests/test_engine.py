@@ -211,8 +211,10 @@ class TestPriorityService:
         cfg = two_node_cfg(rate_rt=0.0, rate_nrt=0.0, duration=1.0)
         sim = Simulation(cfg, collect_traces=True)
         node = sim.nodes[1]
-        nrt = Packet(0, TrafficClass.NRT, 100, 1, 0, 0.0, 1.0)
-        rt = Packet(1, TrafficClass.RT, 100, 1, 0, 0.0, 1.0)
+        nrt = Packet(0, TrafficClass.NRT, 1, 0.0, 1.0)
+        rt = Packet(1, TrafficClass.RT, 1, 0.0, 1.0)
+        # packets placed by hand enter the ledger as generated ones would
+        sim.metrics.generated.update([TrafficClass.NRT, TrafficClass.RT])
         classify_enqueue(node.queues, nrt)
         sim._try_start_service(node)
         assert node.queues.in_service is nrt
@@ -470,8 +472,7 @@ class TestRouteMatchesReference:
                 sim.now = rng.uniform(0.0, 10.0)
                 cls = rng.choice(list(TrafficClass))
                 packet = Packet(
-                    i, cls, sim.cfg.packet_bits, self.SENDER, SINK_ID,
-                    sim.now, sim.now + rng.uniform(1e-4, 4e-3),
+                    i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
                 )
                 expected, table = reference_route(sim, node, packet)
                 assert sim._route(node, packet) == expected
@@ -497,7 +498,7 @@ class TestRouteMatchesReference:
         for estimator in ("rate_rt", "rate_nrt"):
             sim = self.sim()
             setattr(sim.nodes[2], estimator, FixedRate(-1.0))
-            packet = Packet(0, TrafficClass.RT, 100, self.SENDER, SINK_ID, 0.0, 1.0)
+            packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
             with pytest.raises(ValueError, match="arrival rate"):
                 sim._route(sim.nodes[self.SENDER], packet)
 
@@ -541,8 +542,9 @@ class TestEnergyLedgerClosure:
 
 
 def test_invariant_checks_run_under_python_O():
-    # a hop trace that moves away from the sink, and a leaky battery debit,
-    # must each stop the run even when asserts are compiled out
+    # a hop trace that moves away from the sink, a leaky battery debit and a
+    # packet that leaves without being counted must each stop the run even
+    # when asserts are compiled out
     cases = [
         (
             """
@@ -558,6 +560,18 @@ def test_invariant_checks_run_under_python_O():
             + inspect.getsource(leaky_debit)
             + "Battery.debit = leaky_debit\n",
             "RuntimeError: energy ledger does not close",
+        ),
+        (
+            """
+            from wsnqos.engine import DropCause, Simulation
+            Simulation._route = lambda self, node, packet: DropCause.NO_ROUTE
+            counted = Simulation._drop
+            def _drop(self, packet, cause):
+                if packet.packet_id != 0:
+                    counted(self, packet, cause)
+            Simulation._drop = _drop
+            """,
+            "RuntimeError: packets do not add up",
         ),
     ]
     src = str(Path(wsnqos.__file__).resolve().parent.parent)

@@ -18,7 +18,7 @@ RADIO = RadioParams.from_table_units(50.0, 10.0, 0.0013, 250_000.0)
 
 
 def mk_packet(pid, cls=TrafficClass.RT, created=0.0, deadline=10.0, source=1):
-    return Packet(pid, cls, 100, source, 0, created, deadline)
+    return Packet(pid, cls, source, created, deadline)
 
 
 class TestPacket:
@@ -28,11 +28,7 @@ class TestPacket:
 
     def test_deadline_after_creation_required(self):
         with pytest.raises(ValueError):
-            Packet(1, TrafficClass.RT, 100, 1, 0, 5.0, 5.0)
-
-    def test_positive_size_required(self):
-        with pytest.raises(ValueError):
-            Packet(1, TrafficClass.RT, 0, 1, 0, 0.0, 1.0)
+            Packet(1, TrafficClass.RT, 1, 5.0, 5.0)
 
 
 class TestEnqueueDequeue:
@@ -129,12 +125,10 @@ class TestExpiry:
 
 class TestServiceTime:
     def test_reference_packet(self):
-        assert service_time(mk_packet(1), RADIO) == pytest.approx(4e-4)
+        assert service_time(100, RADIO) == pytest.approx(4e-4)
 
     def test_linear_in_size(self):
-        small = Packet(1, TrafficClass.RT, 100, 1, 0, 0.0, 1.0)
-        big = Packet(2, TrafficClass.RT, 200, 1, 0, 0.0, 1.0)
-        assert service_time(big, RADIO) == pytest.approx(2 * service_time(small, RADIO))
+        assert service_time(200, RADIO) == pytest.approx(2 * service_time(100, RADIO))
 
 
 class TestRateEstimator:
