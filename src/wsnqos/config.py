@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .energy import RadioParams, crossover_distance
+from .node import RateEstimator
 from .routing import CostWeights
 
 SINK_ID = 0
@@ -162,6 +163,11 @@ class ScenarioConfig:
                 raise ConfigError(key, f"must be {bound}, got {value}")
             if high is not None and value > high:
                 raise ConfigError(key, f"must be <= {high}, got {value}")
+        # RateEstimator owns its rule too: 1 / rate_tau must not overflow
+        try:
+            RateEstimator(self.rate_tau)
+        except ValueError as exc:
+            raise ConfigError("rate_tau", str(exc)) from None
         self._validate_cross_field()
 
     def _validate_cross_field(self) -> None:

@@ -65,24 +65,26 @@ class Battery:
     """Finite energy store of one node.
 
     Draws are accumulated in `consumed` (single add path, so the metrics
-    ledger and the battery agree bit-for-bit); `residual` is derived. A
-    draw the battery cannot cover drains it completely and marks the node
-    dead; dead nodes take no further debits.
+    ledger and the battery agree bit-for-bit). The charge left is stored in
+    `level`: after each draw it is set to `max(0.0, initial - consumed)`,
+    never decremented, so it is the same float the difference gives.
+    `residual` reads it. A draw the battery cannot cover drains it
+    completely and marks the node dead; dead nodes take no further debits.
     """
 
     initial: float
     consumed: float = field(default=0.0)
     alive: bool = field(default=True)
+    level: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.initial <= 0.0:
             raise ValueError("initial energy must be > 0")
+        self.level = max(0.0, self.initial - self.consumed) if self.alive else 0.0
 
     @property
     def residual(self) -> float:
-        if not self.alive:
-            return 0.0
-        return max(0.0, self.initial - self.consumed)
+        return self.level
 
     def debit(self, amount: float) -> float:
         """Drain `amount` joules; returns the joules actually drained.
@@ -94,10 +96,12 @@ class Battery:
             raise ValueError("debit amount must be >= 0")
         if not self.alive:
             return 0.0
-        if amount <= self.residual:
+        if amount <= self.level:
             self.consumed += amount
+            self.level = max(0.0, self.initial - self.consumed)
             return amount
-        drained = self.residual
+        drained = self.level
         self.consumed = self.initial
+        self.level = 0.0
         self.alive = False
         return drained

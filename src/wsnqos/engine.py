@@ -1,12 +1,12 @@
 """Deterministic discrete-event core.
 
 One run owns an event calendar keyed by (time, sequence), per-node state
-(battery, dual priority queues, per-link reception statistics, arrival-rate
-estimates) and a metrics ledger. Every stochastic stream (placement, each
-source's per-class traffic, each directed link's loss draws) has its own
-generator derived from the master seed by a stable label, so identical
-(config, seed) pairs reproduce bit-identical results and changing one
-stream never perturbs the others.
+(battery, dual priority queues, arrival-rate estimates, and one record per
+outgoing link that has carried a send) and a metrics ledger. Every
+stochastic stream (placement, each source's per-class traffic, each
+directed link's loss draws) has its own generator derived from the master
+seed by a stable label, so identical (config, seed) pairs reproduce
+bit-identical results and changing one stream never perturbs the others.
 
 Idealizations, chosen to isolate the routing behavior under test: zero
 propagation delay, ground-truth per-packet delivery feedback to the sender
@@ -62,6 +62,9 @@ class DropCause(Enum):
     BUFFER_OVERFLOW = "buffer_overflow"
     NODE_DEATH = "node_death"
     LINK_LOSS = "link_loss"
+
+    # identity hashing in C for the (cause, cls) drop keys; see TrafficClass
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,21 @@ def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator)
     return times[times <= horizon]
 
 
+class Link:
+    """What one directed link's sends share over a run, built on its first
+    send: the transmit energy of a packet over it, its loss probability,
+    the generator of its loss draws (None when the loss is 0) and the
+    sender's reception statistics for it."""
+
+    __slots__ = ("tx_cost", "loss", "loss_rng", "stats")
+
+    def __init__(self, tx_cost, loss, loss_rng, stats):
+        self.tx_cost = tx_cost
+        self.loss = loss
+        self.loss_rng = loss_rng
+        self.stats = stats
+
+
 @dataclass
 class NodeState:
     node_id: int
@@ -170,7 +188,8 @@ class NodeState:
     rate_rt: RateEstimator
     rate_nrt: RateEstimator
     alive: bool = True
-    link_stats: dict[int, LinkStats] = field(default_factory=dict)
+    # target id -> Link, for the targets this node has sent to
+    links: dict[int, Link] = field(default_factory=dict)
 
 
 class Simulation:
@@ -180,15 +199,14 @@ class Simulation:
         self.cfg = cfg
         self.radio = cfg.radio_params()
         self.weights = cfg.weights()
-        # per-run constants of the next-hop cost: service time x = size /
-        # bandwidth, its square, the service term of the predicted delay
-        # (adding 0.0 leaves a non-negative delay unchanged) and the
-        # receive cost the candidate would pay
-        x = cfg.packet_bits / self.radio.bandwidth
+        # per-run constants: the service time x = size / bandwidth of every
+        # send, its square, the service term of the predicted delay (adding
+        # 0.0 leaves a non-negative delay unchanged) and the receive cost
+        x = service_time(cfg.packet_bits, self.radio)
         self._x = x
         self._x2 = x * x
         self._service = x if cfg.include_service_time else 0.0
-        self._rx_cost = cfg.packet_bits * self.radio.e_elec
+        self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
         self.now = 0.0
         self._seq = 0
         # events are (time, seq, kind, node, cls, packet, target); the unique
@@ -217,7 +235,6 @@ class Simulation:
             if nid != SINK_ID
         }
         self._area_cache: dict[int, float] = {}
-        self._loss_rngs: dict[tuple[int, int], np.random.Generator] = {}
 
         self.source_set = set(cfg.source_ids())
         self.alive_sources = len(self.source_set)
@@ -250,14 +267,6 @@ class Simulation:
                 y = rng.uniform(0.0, cfg.grid_height)
             positions[nid] = Position(x, y)
         return Topology(positions, SINK_ID, cfg.radio_range)
-
-    def _loss_rng(self, u: int, v: int) -> np.random.Generator:
-        key = (u, v)
-        rng = self._loss_rngs.get(key)
-        if rng is None:
-            rng = stream_rng(self.cfg.seed, f"loss/{u}/{v}")
-            self._loss_rngs[key] = rng
-        return rng
 
     def _push(
         self,
@@ -358,6 +367,8 @@ class Simulation:
         if queues.in_service is not None or not node.alive:
             return
         while True:
+            if not queues.rt and not queues.nrt:
+                return
             for p in expire_drops(queues, self.now):
                 self._drop(p, DropCause.EXPIRED)
             packet = dequeue_next(queues)
@@ -372,7 +383,7 @@ class Simulation:
             self.metrics.wait_count[key] += 1
             queues.in_service = packet
             self._push(
-                self.now + service_time(self.cfg.packet_bits, self.radio),
+                self.now + self._x,
                 EventKind.TRANSMISSION_COMPLETE,
                 node.node_id,
                 packet=packet,
@@ -396,7 +407,7 @@ class Simulation:
         """
         now = self.now
         nodes = self.nodes
-        link_stats = node.link_stats
+        links = node.links
         x = self._x
         x2 = self._x2
         service = self._service
@@ -433,9 +444,9 @@ class Simulation:
             if delay < min_delay:
                 min_delay = delay
             battery = st.battery
-            usable = (math.inf if battery is None else battery.residual) - rx_cost
-            stats = link_stats.get(nid)
-            prr = 1.0 if stats is None else stats.prr()
+            usable = (math.inf if battery is None else battery.level) - rx_cost
+            link = links.get(nid)
+            prr = 1.0 if link is None else link.stats.prr()
             if usable <= 0.0 or prr <= 0.0:
                 continue
             cost = alpha * delay + beta / usable + gamma / prr
@@ -462,19 +473,19 @@ class Simulation:
         return best
 
     def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
-        k = self.cfg.packet_bits
         target = self.nodes[target_id]
-        amount = tx_energy(k, distance(sender.position, target.position), self.radio)
-        self.metrics.total_energy += sender.battery.debit(amount)
+        link = sender.links.get(target_id)
+        if link is None:
+            link = self._new_link(sender, target)
+        self.metrics.total_energy += sender.battery.debit(link.tx_cost)
         if not sender.battery.alive:
             self._kill(sender)
             self._drop(packet, DropCause.NODE_DEATH)
             return
         self.metrics.tx_by_node[sender.node_id] += 1
         self.metrics.tx_by_link[(sender.node_id, target_id)] += 1
-        stats = self._link_stats(sender, target_id)
-        loss_p = self.cfg.loss_for(sender.node_id, target_id)
-        if loss_p > 0.0 and self._loss_rng(sender.node_id, target_id).random() < loss_p:
+        stats = link.stats
+        if link.loss > 0.0 and link.loss_rng.random() < link.loss:
             stats.record_outcome(False)
             self._drop(packet, DropCause.LINK_LOSS)
             return
@@ -490,7 +501,7 @@ class Simulation:
             stats.record_outcome(False)
             self._drop(packet, DropCause.NODE_DEATH)
             return
-        self.metrics.total_energy += target.battery.debit(rx_energy(k, self.radio))
+        self.metrics.total_energy += target.battery.debit(self._rx_cost)
         if not target.battery.alive:
             self._kill(target)
             stats.record_outcome(False)
@@ -545,12 +556,21 @@ class Simulation:
 
     # -- sender-visible neighbor state -----------------------------------
 
-    def _link_stats(self, sender: NodeState, target_id: int) -> LinkStats:
-        stats = sender.link_stats.get(target_id)
-        if stats is None:
-            stats = LinkStats(self.cfg.prr_window)
-            sender.link_stats[target_id] = stats
-        return stats
+    def _new_link(self, sender: NodeState, target: NodeState) -> Link:
+        # built on first use: a loss generator costs tens of microseconds,
+        # and most allowed links never carry a send
+        u, v = sender.node_id, target.node_id
+        cfg = self.cfg
+        loss = cfg.loss_for(u, v)
+        link = Link(
+            tx_energy(cfg.packet_bits, distance(sender.position, target.position),
+                      self.radio),
+            loss,
+            stream_rng(cfg.seed, f"loss/{u}/{v}") if loss > 0.0 else None,
+            LinkStats(cfg.prr_window),
+        )
+        sender.links[v] = link
+        return link
 
     def _allowed_area(self, nid: int) -> float:
         area = self._area_cache.get(nid)
@@ -574,22 +594,25 @@ class Simulation:
                 in_flight += 1
             battery = st.battery
             if battery is not None:
-                consumed, residual = battery.consumed, battery.residual
-                m.energy_by_node[nid] = consumed
-                m.residual_by_node[nid] = residual
-                # raise, not assert, so the check stays on under python -O
-                if not math.isclose(consumed + residual, battery.initial, rel_tol=1e-9):
-                    raise RuntimeError(
-                        f"battery of node {nid} does not close: consumed "
-                        f"{consumed!r} + residual {residual!r} "
-                        f"!= initial {battery.initial!r}"
-                    )
+                m.energy_by_node[nid] = battery.consumed
+                m.residual_by_node[nid] = battery.residual
+        # raise, not assert, so the checks stay on under python -O; the
+        # ledger comes first, since a debit that drains less than it reports
+        # leaves its battery's stored level behind as well
         per_node = math.fsum(m.energy_by_node.values())
         if not math.isclose(per_node, m.total_energy, rel_tol=1e-9):
             raise RuntimeError(
                 f"energy ledger does not close: per-node sum {per_node!r} "
                 f"!= total_energy {m.total_energy!r}"
             )
+        for nid, consumed in m.energy_by_node.items():
+            residual = m.residual_by_node[nid]
+            initial = self.nodes[nid].battery.initial
+            if not math.isclose(consumed + residual, initial, rel_tol=1e-9):
+                raise RuntimeError(
+                    f"battery of node {nid} does not close: consumed "
+                    f"{consumed!r} + residual {residual!r} != initial {initial!r}"
+                )
         m.in_flight = in_flight
         generated, delivered, dropped = (
             m.generated_total(), m.delivered_total(), m.drops_total()

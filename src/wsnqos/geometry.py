@@ -42,7 +42,7 @@ def is_allowed_neighbor(
 
     The sender itself never qualifies.
     """
-    if candidate == sender:
+    if candidate.x == sender.x and candidate.y == sender.y:
         return False
     return (
         distance(sender, candidate) <= radio_range

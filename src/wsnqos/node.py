@@ -19,6 +19,11 @@ class TrafficClass(Enum):
     RT = "rt"
     NRT = "nrt"
 
+    # members are singletons, so identity hashing is consistent with Enum
+    # equality, and it runs in C where Enum.__hash__ runs Python code on
+    # every (node, cls) key
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Packet:
@@ -105,6 +110,8 @@ class RateEstimator:
     def __init__(self, tau: float = 1.0):
         if tau <= 0.0:
             raise ValueError("tau must be > 0")
+        if not math.isfinite(1.0 / tau):
+            raise ValueError(f"1 / tau must be finite, got tau = {tau!r}")
         self.tau = tau
         self._level = 0.0
         self._last_arrival = 0.0

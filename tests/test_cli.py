@@ -186,7 +186,7 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
 # Inputs that passed the parser once and then broke the run: radio constants
 # that underflow to 0 J in SI units, deadline budgets the clock cannot add to
 # a creation time, a packet too big for a float and a zero-length packet, an
-# infinite service time.
+# infinite service time, a rate averaging time whose inverse overflows.
 REJECTED_INPUTS = [
     ("radio.e_elec_nj = 1e-320", "radio: e_elec"),
     ("radio.eps_amp_pj = 1e-320", "radio: eps_amp"),
@@ -195,6 +195,7 @@ REJECTED_INPUTS = [
     (f"packet_bits = {10**400}", "packet_bits/radio.bandwidth"),
     ("packet_bits = 0", "packet_bits"),
     ("radio.bandwidth = 1e-320", "packet_bits/radio.bandwidth"),
+    ("rate_tau = 1e-320", "rate_tau"),
 ]
 
 
@@ -207,6 +208,23 @@ def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
     assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_tiny_rate_tau_with_a_finite_inverse_runs(tmp_path):
+    # 1 / 1e-300 is finite, so every rate estimate stays a number and every
+    # packet finds a route (at 1e-320 the estimates read nan and a third of
+    # these packets were dropped as no_route)
+    path = tmp_path / "scenario.txt"
+    path.write_text(
+        "node_count = 20\ngrid.width = 200\ngrid.height = 200\nduration = 2\n"
+        "rate_tau = 1e-300\n"
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    header, rows = read_rows(tmp_path / "metrics.csv")
+    row = dict(zip(header, rows[0]))
+    assert int(row["generated"]) > 50
+    assert int(row["delivered_rt"]) + int(row["delivered_nrt"]) == int(row["generated"])
+    assert row["drop_no_route"] == "0"
 
 
 def test_module_entry_point_exits_2_without_traceback(tmp_path):

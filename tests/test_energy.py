@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -108,3 +109,25 @@ class TestBattery:
                 count += 1
         assert count == math.floor(2.0 / 7.5e-6)
         assert count == 266_666
+
+    def test_stored_level_is_the_clamped_difference(self):
+        # the stored level must be exactly max(0, initial - consumed) after
+        # every draw, whatever the draws' sizes and order; a decremented
+        # level would drift from it in the last bits
+        rng = random.Random(2024)
+        for _ in range(200):
+            b = Battery(rng.uniform(1e-6, 3.0))
+            scale = b.initial * rng.choice([1e-6, 1e-3, 0.05])
+            while b.alive:
+                if rng.random() < 0.02:
+                    amount = rng.uniform(0.0, 2.0 * b.initial)  # often a shortfall
+                elif rng.random() < 0.02:
+                    amount = b.residual  # exactly what is left
+                else:
+                    amount = rng.uniform(0.0, scale)
+                b.debit(amount)
+                if b.alive:
+                    assert b.residual == max(0.0, b.initial - b.consumed)
+            assert b.residual == 0.0
+            b.debit(rng.uniform(0.0, scale))
+            assert b.residual == 0.0

@@ -23,7 +23,6 @@ from wsnqos.engine import (
     stream_rng,
 )
 from wsnqos.geometry import delta, distance
-from wsnqos.linkest import LinkStats
 from wsnqos.node import Packet, TrafficClass, classify_enqueue
 from wsnqos.queueing import ClassLoad, QueueModelParams
 from wsnqos.routing import (
@@ -361,14 +360,14 @@ def reference_route(sim, node, packet):
             rt=ClassLoad.deterministic(st.rate_rt.rate_at(sim.now), x),
             nrt=ClassLoad.deterministic(st.rate_nrt.rate_at(sim.now), x),
         )
-        stats = node.link_stats.get(nid)
+        link = node.links.get(nid)
         views.append(
             NeighborView(
                 node_id=nid,
                 position=st.position,
                 residual_energy=math.inf if st.battery is None else st.battery.residual,
                 queue_params=loads,
-                prr=1.0 if stats is None else stats.prr(),
+                prr=1.0 if link is None else link.stats.prr(),
             )
         )
     if not views:
@@ -429,7 +428,7 @@ class TestRouteMatchesReference:
         boundary, batteries below the receive cost, dead links, dead nodes
         and, now and then, two neighbors in the same state (an equal cost)."""
         sender = sim.nodes[self.SENDER]
-        sender.link_stats.clear()
+        sender.links.clear()
         capacity = sim.radio.bandwidth / sim.cfg.packet_bits  # packets/s
         rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
         states = {}
@@ -455,10 +454,9 @@ class TestRouteMatchesReference:
                 st.battery = Battery(residual)
             st.alive = alive
             if outcomes:
-                stats = LinkStats(sim.cfg.prr_window)
+                link = sim._new_link(sender, st)
                 for delivered in outcomes:
-                    stats.record_outcome(delivered)
-                sender.link_stats[nid] = stats
+                    link.stats.record_outcome(delivered)
 
     def test_random_states_match_exactly(self):
         rng = random.Random(4242)
@@ -524,6 +522,14 @@ def overdrawing_debit(self, amount):
     return amount
 
 
+def stale_level_debit(self, amount):
+    """Counts the draw in consumed but leaves the stored level where it was."""
+    if not self.alive:
+        return 0.0
+    self.consumed += amount
+    return amount
+
+
 class TestEnergyLedgerClosure:
     @pytest.mark.parametrize(
         "debit,cfg,message",
@@ -532,13 +538,56 @@ class TestEnergyLedgerClosure:
              "energy ledger does not close"),
             (overdrawing_debit, TestNodeDeath().death_cfg(),
              "battery of node 1 does not close"),
+            (stale_level_debit, two_node_cfg(rate_rt=40.0, duration=20.0),
+             "battery of node 1 does not close"),
         ],
-        ids=["leaky", "overdrawing"],
+        ids=["leaky", "overdrawing", "stale level"],
     )
     def test_broken_debit_stops_the_run(self, monkeypatch, debit, cfg, message):
         monkeypatch.setattr(Battery, "debit", debit)
         with pytest.raises(RuntimeError, match=message):
             run(cfg)
+
+
+def test_link_state_is_built_once_per_link(monkeypatch):
+    # per-link facts (transmit energy, loss probability) are computed when a
+    # link carries its first send and never again; counted on a multi-hop
+    # lossy run with a per-link loss override and relay deaths
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(wsnqos.engine, "tx_energy",
+                        counted("tx_energy", wsnqos.engine.tx_energy))
+    monkeypatch.setattr(ScenarioConfig, "loss_for",
+                        counted("loss_for", ScenarioConfig.loss_for))
+    cfg = ScenarioConfig(
+        node_count=30,
+        grid_width=300.0,
+        grid_height=300.0,
+        rate_rt=3.0,
+        rate_nrt=3.0,
+        duration=10.0,
+        loss=0.1,
+        link_loss={(29, 23): 0.5},
+        initial_energy=0.003,
+        seed=2,
+    )
+    sim = Simulation(cfg)
+    m = sim.run()
+    assert m.deaths
+    assert m.tx_by_link[(29, 23)] > 0
+    assert m.rx_by_node.total() > 0  # relays carried traffic
+    links = sum(len(st.links) for st in sim.nodes.values())
+    sends = sum(m.tx_by_node.values())
+    assert calls["tx_energy"] == links
+    assert calls["loss_for"] == links
+    assert 20 * links < sends
 
 
 def test_invariant_checks_run_under_python_O():

@@ -179,3 +179,5 @@ class TestRateEstimator:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             RateEstimator(tau=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RateEstimator(tau=1e-320)  # 1 / tau overflows to inf
