@@ -86,8 +86,10 @@ def timeline_rows(seed: int, cfg: ScenarioConfig, m: Metrics) -> list[list[str]]
     if cfg.duration <= 0.0:
         points = [0.0]
     else:
-        n = max(1, math.ceil(cfg.duration / bucket))
-        points = [min((i + 1) * bucket, cfg.duration) for i in range(n)]
+        points = [
+            min((i + 1) * bucket, cfg.duration)
+            for i in range(cfg.timeline_bucket_count())
+        ]
     for t in points:
         rows.append(
             [

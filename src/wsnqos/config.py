@@ -28,7 +28,8 @@ Key reference (defaults in parentheses):
     include_service_time (true)               add tx time to predicted delay
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
-    timeline_bucket (duration / 100)          timeline.csv bucket width, s
+    timeline_bucket (duration / 100)          timeline.csv bucket width, s;
+                                              at most 10^6 buckets
 
 Each scalar key's parser and allowed range sit on its `ScenarioConfig`
 field. Numbers must be finite; a value out of range raises `ConfigError`
@@ -45,6 +46,8 @@ from .node import RateEstimator
 from .routing import CostWeights
 
 SINK_ID = 0
+# timeline.csv rows per seed; the bucket end points are built as a list
+MAX_TIMELINE_BUCKETS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -195,6 +198,13 @@ class ScenarioConfig:
             raise ConfigError("sink.x", "sink outside the grid")
         if not (0.0 <= self.sink_y <= self.grid_height):
             raise ConfigError("sink.y", "sink outside the grid")
+        buckets = self.duration / self.timeline_bucket
+        if not buckets <= MAX_TIMELINE_BUCKETS:
+            raise ConfigError(
+                "timeline_bucket",
+                f"duration / timeline_bucket must be <= {MAX_TIMELINE_BUCKETS}, "
+                f"got {buckets}",
+            )
         try:
             service = self.packet_bits / self.bandwidth
         except OverflowError:
@@ -223,6 +233,10 @@ class ScenarioConfig:
 
     def weights(self) -> CostWeights:
         return CostWeights(self.alpha, self.beta, self.gamma)
+
+    def timeline_bucket_count(self) -> int:
+        """Rows of timeline.csv per seed."""
+        return max(1, math.ceil(self.duration / self.timeline_bucket))
 
     def loss_for(self, u: int, v: int) -> float:
         return self.link_loss.get((u, v), self.loss)

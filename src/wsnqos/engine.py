@@ -20,6 +20,7 @@ import hashlib
 import heapq
 import math
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,18 +68,6 @@ class DropCause(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class DeliveredRecord:
-    """Per-delivery detail kept only when trace collection is enabled."""
-
-    packet_id: int
-    cls: TrafficClass
-    created_at: float
-    deadline: float
-    arrival: float
-    hop_trace: tuple[tuple[int, float], ...]
-
-
 @dataclass
 class Metrics:
     """Counters and samples accumulated over one run."""
@@ -102,7 +91,6 @@ class Metrics:
     in_flight: int = 0
     end_time: float = 0.0
     sensor_count: int = 0
-    delivered_records: list[DeliveredRecord] | None = None
 
     def generated_total(self) -> int:
         return sum(self.generated.values())
@@ -190,12 +178,15 @@ class NodeState:
     alive: bool = True
     # target id -> Link, for the targets this node has sent to
     links: dict[int, Link] = field(default_factory=dict)
+    # the allowed neighbors' states in ascending id order (empty for the
+    # sink); they link back, so repr and == skip them
+    allowed: list[NodeState] = field(default_factory=list, repr=False, compare=False)
 
 
 class Simulation:
     """Single deterministic run of one scenario."""
 
-    def __init__(self, cfg: ScenarioConfig, collect_traces: bool = False):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.radio = cfg.radio_params()
         self.weights = cfg.weights()
@@ -214,8 +205,6 @@ class Simulation:
         # never reaches the later fields
         self.heap: list[tuple] = []
         self.metrics = Metrics(sensor_count=cfg.node_count - 1)
-        if collect_traces:
-            self.metrics.delivered_records = []
 
         self.topology = self._place_nodes()
         self.sink_position = self.topology.positions[SINK_ID]
@@ -229,11 +218,11 @@ class Simulation:
                 rate_rt=RateEstimator(cfg.rate_tau),
                 rate_nrt=RateEstimator(cfg.rate_tau),
             )
-        self.allowed_static = {
-            nid: self.topology.allowed_neighbor_ids(nid)
-            for nid in self.topology.positions
-            if nid != SINK_ID
-        }
+        for nid, st in self.nodes.items():
+            if nid != SINK_ID:
+                st.allowed = [
+                    self.nodes[a] for a in self.topology.allowed_neighbor_ids(nid)
+                ]
         self._area_cache: dict[int, float] = {}
 
         self.source_set = set(cfg.source_ids())
@@ -241,16 +230,16 @@ class Simulation:
         self._pending_deaths = 0
         self._next_packet_id = 0
 
-        self._arrivals: dict[tuple[int, TrafficClass], np.ndarray] = {}
-        self._arrival_idx: dict[tuple[int, TrafficClass], int] = {}
+        # each stream's remaining arrival instants, as Python floats over
+        # the float64 array (8 B per arrival; a list would hold about 32)
+        self._arrivals: dict[tuple[int, TrafficClass], Iterator[float]] = {}
         rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
         for nid in sorted(self.source_set):
             for cls in TrafficClass:
                 rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
-                self._arrivals[(nid, cls)] = poisson_arrival_times(
-                    rates[cls], cfg.duration, rng
+                self._arrivals[(nid, cls)] = map(
+                    float, poisson_arrival_times(rates[cls], cfg.duration, rng)
                 )
-                self._arrival_idx[(nid, cls)] = 0
                 self._schedule_next_arrival(nid, cls)
 
     # -- setup ---------------------------------------------------------
@@ -281,11 +270,9 @@ class Simulation:
         heapq.heappush(self.heap, (time, self._seq, kind, node, cls, packet, target))
 
     def _schedule_next_arrival(self, nid: int, cls: TrafficClass) -> None:
-        idx = self._arrival_idx[(nid, cls)]
-        times = self._arrivals[(nid, cls)]
-        if idx < len(times):
-            self._arrival_idx[(nid, cls)] = idx + 1
-            self._push(float(times[idx]), EventKind.PACKET_GENERATED, nid, cls=cls)
+        time = next(self._arrivals[(nid, cls)], None)
+        if time is not None:
+            self._push(time, EventKind.PACKET_GENERATED, nid, cls=cls)
 
     # -- main loop -----------------------------------------------------
 
@@ -406,7 +393,6 @@ class Simulation:
         over all of them, whatever their cost.
         """
         now = self.now
-        nodes = self.nodes
         links = node.links
         x = self._x
         x2 = self._x2
@@ -419,8 +405,7 @@ class Simulation:
         min_delay = math.inf
         best_cost = math.inf
         best = None
-        for nid in self.allowed_static[node.node_id]:
-            st = nodes[nid]
+        for st in node.allowed:
             if not st.alive:
                 continue
             alive += 1
@@ -445,14 +430,14 @@ class Simulation:
                 min_delay = delay
             battery = st.battery
             usable = (math.inf if battery is None else battery.level) - rx_cost
-            link = links.get(nid)
+            link = links.get(st.node_id)
             prr = 1.0 if link is None else link.stats.prr()
             if usable <= 0.0 or prr <= 0.0:
                 continue
             cost = alpha * delay + beta / usable + gamma / prr
             if cost < best_cost:
                 best_cost = cost
-                best = nid
+                best = st.node_id
         if alive == 0:
             return DropCause.NO_ROUTE
         if self.cfg.predictive_drop:
@@ -534,17 +519,6 @@ class Simulation:
                     f"hop trace of packet {packet.packet_id} moved away from the sink"
                 )
             prev = d
-        if m.delivered_records is not None:
-            m.delivered_records.append(
-                DeliveredRecord(
-                    packet_id=packet.packet_id,
-                    cls=packet.cls,
-                    created_at=packet.created_at,
-                    deadline=packet.deadline,
-                    arrival=self.now,
-                    hop_trace=tuple(packet.hop_trace),
-                )
-            )
 
     def _kill(self, node: NodeState) -> None:
         node.alive = False
@@ -624,6 +598,6 @@ class Simulation:
             )
 
 
-def run(cfg: ScenarioConfig, collect_traces: bool = False) -> Metrics:
+def run(cfg: ScenarioConfig) -> Metrics:
     """Run one scenario to completion and return its metrics."""
-    return Simulation(cfg, collect_traces).run()
+    return Simulation(cfg).run()

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import run_with_deliveries
 
 from wsnqos.cli import main
 from wsnqos.config import ScenarioConfig
@@ -72,8 +73,8 @@ def deadline_runs():
             loss=0.1,
             seed=seed,
         )
-        sim = Simulation(cfg, collect_traces=True)
-        out.append((sim, sim.run()))
+        sim = Simulation(cfg)
+        out.append((sim, *run_with_deliveries(sim)))
     return out
 
 
@@ -175,8 +176,8 @@ def test_criterion_6_no_delivery_ever_misses_its_deadline(deadline_runs):
     delivered = 0
     deadline_drops = 0
     conserved = True
-    for _sim, m in deadline_runs:
-        late += sum(1 for r in m.delivered_records if r.arrival > r.deadline)
+    for _sim, m, packets in deadline_runs:
+        late += sum(1 for p in packets if p.hop_trace[-1][1] > p.deadline)
         delivered += m.delivered_total()
         deadline_drops += m.drop_count(DropCause.EXPIRED) + m.drop_count(
             DropCause.PREDICTIVE
@@ -192,10 +193,10 @@ def test_criterion_6_no_delivery_ever_misses_its_deadline(deadline_runs):
 def test_criterion_7_hop_traces_always_approach_the_sink(deadline_runs):
     loops = 0
     checked = 0
-    for sim, m in deadline_runs:
+    for sim, _m, packets in deadline_runs:
         dist = sim.topology.distance_to_sink
-        for rec in m.delivered_records:
-            ids = [nid for nid, _t in rec.hop_trace]
+        for p in packets:
+            ids = [nid for nid, _t in p.hop_trace]
             dists = [dist(nid) for nid in ids]
             checked += 1
             if any(b > a for a, b in zip(dists, dists[1:])):

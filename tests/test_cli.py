@@ -196,6 +196,8 @@ REJECTED_INPUTS = [
     ("packet_bits = 0", "packet_bits"),
     ("radio.bandwidth = 1e-320", "packet_bits/radio.bandwidth"),
     ("rate_tau = 1e-320", "rate_tau"),
+    ("timeline_bucket = 1e-320", "timeline_bucket"),
+    ("timeline_bucket = 1e-5", "timeline_bucket"),
 ]
 
 

@@ -164,3 +164,17 @@ class TestHelpers:
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
             replace(cfg, alpha=-2.0)
+
+    def test_timeline_bucket_count_is_capped(self):
+        # checked on the config only: a run this fine would write a million
+        # timeline rows per seed
+        cap = config.MAX_TIMELINE_BUCKETS
+        at_cap = ScenarioConfig(duration=1000.0, timeline_bucket=1000.0 / cap)
+        assert at_cap.timeline_bucket_count() == cap
+        under = ScenarioConfig(duration=1000.0, timeline_bucket=1000.0 / (cap - 1))
+        assert under.timeline_bucket_count() == cap - 1
+        with pytest.raises(ConfigError, match="timeline_bucket"):
+            ScenarioConfig(duration=math.nextafter(1000.0, math.inf),
+                           timeline_bucket=1000.0 / cap)
+        with pytest.raises(ConfigError, match="timeline_bucket"):
+            replace(at_cap, duration=2000.0)

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from math import fsum
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_with_deliveries
 
 import wsnqos
 from wsnqos.config import SINK_ID, ScenarioConfig
@@ -110,6 +112,22 @@ class TestTraffic:
         assert len(gaps) >= 100_000
         assert gaps.mean() == pytest.approx(1e-3, rel=0.02)
 
+    def test_pending_arrivals_hold_8_bytes_each(self):
+        # one float64 per pending arrival; a list of Python floats would
+        # hold about 32 B each
+        cfg = two_node_cfg(rate_rt=1e6, duration=1.0)
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rng = stream_rng(cfg.seed, "traffic/1/rt")
+        arrivals = len(poisson_arrival_times(1e6, 1.0, rng))
+        assert arrivals > 990_000
+        assert held / arrivals < 12.0
+        assert len(sim._arrivals) == 2  # one cursor per (source, class)
+
     def test_stream_labels_are_stable_and_independent(self):
         a = stream_rng(3, "traffic/1/rt").random(4)
         b = stream_rng(3, "traffic/1/rt").random(4)
@@ -165,16 +183,15 @@ class TestChainForwarding:
         return ScenarioConfig(**base)
 
     def test_two_hop_traces_and_progress(self):
-        m = run(self.chain_cfg(), collect_traces=True)
+        sim = Simulation(self.chain_cfg())
+        m, packets = run_with_deliveries(sim)
         assert m.delivered_total() > 1000
-        cfg = self.chain_cfg()
-        sim = Simulation(cfg)
-        for rec in m.delivered_records[:200]:
-            ids = [nid for nid, _ in rec.hop_trace]
+        for p in packets[:200]:
+            ids = [nid for nid, _ in p.hop_trace]
             assert ids == [2, 1, 0]
             dists = [sim.topology.distance_to_sink(nid) for nid in ids]
             assert dists == sorted(dists, reverse=True)
-            times = [t for _, t in rec.hop_trace]
+            times = [t for _, t in p.hop_trace]
             assert times == sorted(times)
 
     def test_deterministic_tandem_relay_never_queues(self):
@@ -185,8 +202,8 @@ class TestChainForwarding:
         assert m.mean_wait(1, TrafficClass.RT) == 0.0
 
     def test_within_class_fifo_on_the_path(self):
-        m = run(self.chain_cfg(duration=5.0), collect_traces=True)
-        ids = [r.packet_id for r in m.delivered_records]
+        _m, packets = run_with_deliveries(Simulation(self.chain_cfg(duration=5.0)))
+        ids = [p.packet_id for p in packets]
         assert ids == sorted(ids)
 
 
@@ -208,7 +225,7 @@ class TestPriorityService:
 
     def test_service_is_never_preempted(self):
         cfg = two_node_cfg(rate_rt=0.0, rate_nrt=0.0, duration=1.0)
-        sim = Simulation(cfg, collect_traces=True)
+        sim = Simulation(cfg)
         node = sim.nodes[1]
         nrt = Packet(0, TrafficClass.NRT, 1, 0.0, 1.0)
         rt = Packet(1, TrafficClass.RT, 1, 0.0, 1.0)
@@ -219,8 +236,8 @@ class TestPriorityService:
         assert node.queues.in_service is nrt
         classify_enqueue(node.queues, rt)  # higher priority arrives mid-service
         assert node.queues.in_service is nrt
-        m = sim.run()
-        order = [(r.packet_id, r.arrival) for r in m.delivered_records]
+        _m, packets = run_with_deliveries(sim)
+        order = [(p.packet_id, p.hop_trace[-1][1]) for p in packets]
         assert [pid for pid, _ in order] == [0, 1]
         assert order[0][1] == pytest.approx(SERVICE, abs=1e-12)
         assert order[1][1] == pytest.approx(2 * SERVICE, abs=1e-12)
@@ -352,8 +369,8 @@ def reference_route(sim, node, packet):
     cfg = sim.cfg
     x = cfg.packet_bits / sim.radio.bandwidth
     views = []
-    for nid in sim.allowed_static[node.node_id]:
-        st = sim.nodes[nid]
+    for st in node.allowed:
+        nid = st.node_id
         if not st.alive:
             continue
         loads = QueueModelParams(
@@ -420,7 +437,8 @@ class TestRouteMatchesReference:
             **kw,
         )
         sim = Simulation(cfg)
-        assert sim.allowed_static[self.SENDER] == [SINK_ID, 2, 3, 4, 5, 6]
+        allowed = [st.node_id for st in sim.nodes[self.SENDER].allowed]
+        assert allowed == [SINK_ID, 2, 3, 4, 5, 6]
         return sim
 
     def randomize(self, sim, rng):
@@ -432,8 +450,8 @@ class TestRouteMatchesReference:
         capacity = sim.radio.bandwidth / sim.cfg.packet_bits  # packets/s
         rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
         states = {}
-        for nid in sim.allowed_static[self.SENDER]:
-            st = sim.nodes[nid]
+        for st in sim.nodes[self.SENDER].allowed:
+            nid = st.node_id
             rho = [rng.choice([0.0, rng.uniform(0.0, 0.6), rng.uniform(0.4, 1.2)])
                    for _ in range(2)]
             if rng.random() < 0.1:
@@ -481,7 +499,7 @@ class TestRouteMatchesReference:
                 seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
                 seen["usable <= 0"] += any(e.usable_energy <= 0.0 for e in table)
                 seen["prr = 0"] += any(e.prr == 0.0 for e in table)
-                seen["dead"] += len(table) < len(sim.allowed_static[self.SENDER])
+                seen["dead"] += len(table) < len(node.allowed)
                 costs = [e.cost for e in table if math.isfinite(e.cost)]
                 seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
         assert trials >= 1000

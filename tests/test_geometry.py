@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnqos import geometry
-from wsnqos.config import ScenarioConfig
+from wsnqos.config import SINK_ID, ScenarioConfig
 from wsnqos.engine import Simulation
 from wsnqos.geometry import (
     NoNeighborsError,
@@ -375,9 +375,19 @@ def test_cell_index_checks_few_pairs(monkeypatch):
     side = 1000.0 * math.sqrt(n / 300)  # the default 300 nodes per km^2
     sim = Simulation(ScenarioConfig(node_count=n, grid_width=side, grid_height=side,
                                     rate_rt=0.001, rate_nrt=0.001, duration=1.0))
-    assert sum(map(len, sim.allowed_static.values())) > n
+    assert sum(len(st.allowed) for st in sim.nodes.values()) > n
     assert calls < 0.05 * n * n
     assert len(sim.topology._cells) <= n
+    # each node's neighbour list holds the states of its allowed neighbours;
+    # the lists link back to their owners, so repr and == must skip them
+    sink = sim.nodes[SINK_ID]
+    assert sink.allowed == []
+    assert "allowed" not in repr(sink)
+    for nid, st in sim.nodes.items():
+        if nid != SINK_ID:
+            assert [s.node_id for s in st.allowed] == sim.topology.allowed_neighbor_ids(nid)
+        assert repr(st).startswith(f"NodeState(node_id={nid},")
+        assert st == st
 
 
 def test_non_finite_positions_rejected():
