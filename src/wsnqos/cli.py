@@ -156,14 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else ScenarioConfig()
+        # applied before the defaults resolve, so a default timeline_bucket
+        # follows --duration
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.duration is not None:
             overrides["duration"] = args.duration
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        cfg = (
+            load_config(args.config, **overrides)
+            if args.config
+            else ScenarioConfig(**overrides)
+        )
         if args.seeds < 1:
             raise ConfigError("seeds", "must be >= 1")
         run_cfgs = [

@@ -254,8 +254,12 @@ _SCALAR_KEYS = {
 }
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse scenario text into a validated config with defaults filled in."""
+def parse_config(text: str, **overrides: object) -> ScenarioConfig:
+    """Parse scenario text into a validated config with defaults filled in.
+
+    `overrides` (field name -> value) take the place of the text's values
+    before the defaults derived from them, such as timeline_bucket, resolve.
+    """
     values: dict[str, object] = {}
     positions: dict[int, tuple[float, float]] = {}
     link_loss: dict[tuple[int, int], float] = {}
@@ -290,13 +294,14 @@ def parse_config(text: str) -> ScenarioConfig:
         values["positions"] = positions
     if link_loss:
         values["link_loss"] = link_loss
+    values.update(overrides)
     return ScenarioConfig(**values)
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Read and parse a scenario file."""
+def load_config(path: str, **overrides: object) -> ScenarioConfig:
+    """Read and parse a scenario file; see parse_config for `overrides`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), **overrides)
 
 
 def _fmt(value: object) -> str:

@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import routing
 from .config import SINK_ID, ScenarioConfig
 from .energy import Battery, rx_energy, tx_energy
 from .geometry import Position, Topology, allowed_area, delta, distance
@@ -70,7 +71,13 @@ class DropCause(Enum):
 
 @dataclass
 class Metrics:
-    """Counters and samples accumulated over one run."""
+    """Counters and samples accumulated over one run.
+
+    The per-node and per-link tallies (wait_sum, wait_count, tx_by_node,
+    rx_by_node, tx_by_link) are kept on the run's node and link records
+    and filled in by Simulation._finalize, so they read empty until run()
+    returns. A key appears only when its count is nonzero.
+    """
 
     generated: Counter = field(default_factory=Counter)  # cls -> n
     delivered: Counter = field(default_factory=Counter)  # cls -> n
@@ -153,16 +160,18 @@ def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator)
 class Link:
     """What one directed link's sends share over a run, built on its first
     send: the transmit energy of a packet over it, its loss probability,
-    the generator of its loss draws (None when the loss is 0) and the
-    sender's reception statistics for it."""
+    the generator of its loss draws (None when the loss is 0), the
+    sender's reception statistics for it and the number of sends that
+    left the sender's radio."""
 
-    __slots__ = ("tx_cost", "loss", "loss_rng", "stats")
+    __slots__ = ("tx_cost", "loss", "loss_rng", "stats", "sent")
 
     def __init__(self, tx_cost, loss, loss_rng, stats):
         self.tx_cost = tx_cost
         self.loss = loss
         self.loss_rng = loss_rng
         self.stats = stats
+        self.sent = 0
 
 
 @dataclass
@@ -181,6 +190,17 @@ class NodeState:
     # the allowed neighbors' states in ascending id order (empty for the
     # sink); they link back, so repr and == skip them
     allowed: list[NodeState] = field(default_factory=list, repr=False, compare=False)
+    # receptions and, per class, the summed queueing wait and the number of
+    # packets that entered service here; exported by Simulation._finalize
+    received: int = 0
+    wait_sum_rt: float = 0.0
+    wait_sum_nrt: float = 0.0
+    waits_rt: int = 0
+    waits_nrt: int = 0
+    # alive allowed neighbors -> hops the predictive drop assumes to the
+    # sink (0: no estimate); made on the first check, so nodes that never
+    # route hold no table
+    hops_by_alive: dict[int, int] | None = None
 
 
 class Simulation:
@@ -223,7 +243,6 @@ class Simulation:
                 st.allowed = [
                     self.nodes[a] for a in self.topology.allowed_neighbor_ids(nid)
                 ]
-        self._area_cache: dict[int, float] = {}
 
         self.source_set = set(cfg.source_ids())
         self.alive_sources = len(self.source_set)
@@ -365,9 +384,13 @@ class Simulation:
             if isinstance(decision, DropCause):
                 self._drop(packet, decision)
                 continue
-            key = (node.node_id, packet.cls)
-            self.metrics.wait_sum[key] += self.now - packet.hop_trace[-1][1]
-            self.metrics.wait_count[key] += 1
+            wait = self.now - packet.hop_trace[-1][1]
+            if packet.cls is TrafficClass.RT:
+                node.wait_sum_rt += wait
+                node.waits_rt += 1
+            else:
+                node.wait_sum_nrt += wait
+                node.waits_nrt += 1
             queues.in_service = packet
             self._push(
                 self.now + self._x,
@@ -390,7 +413,8 @@ class Simulation:
         prr <= 0). The lowest finite cost wins; ids ascend, so a strict
         comparison keeps the lowest id on ties. The predictive-drop check
         counts every alive candidate and takes the smallest finite delay
-        over all of them, whatever their cost.
+        over all of them, whatever their cost; its hop estimate depends only
+        on the sender and that count, so each node keeps it per count.
         """
         now = self.now
         links = node.links
@@ -440,19 +464,15 @@ class Simulation:
                 best = st.node_id
         if alive == 0:
             return DropCause.NO_ROUTE
-        if self.cfg.predictive_drop:
-            area = self._allowed_area(node.node_id)
-            if area > 0.0 and min_delay < math.inf:
-                spacing = delta(area, alive)
-                if spacing > 0.0 and not predictive_drop_check(
-                    packet.deadline,
-                    now,
-                    node.position,
-                    self.sink_position,
-                    spacing,
-                    min_delay,
-                ):
-                    return DropCause.PREDICTIVE
+        if self.cfg.predictive_drop and min_delay < math.inf:
+            hops_by_alive = node.hops_by_alive
+            if hops_by_alive is None:
+                hops_by_alive = node.hops_by_alive = {}
+            hops = hops_by_alive.get(alive)
+            if hops is None:
+                hops = hops_by_alive[alive] = self._hops_to_sink(node, alive)
+            if hops and not predictive_drop_check(packet.deadline, now, hops, min_delay):
+                return DropCause.PREDICTIVE
         if best is None:
             return DropCause.NO_ROUTE
         return best
@@ -467,8 +487,7 @@ class Simulation:
             self._kill(sender)
             self._drop(packet, DropCause.NODE_DEATH)
             return
-        self.metrics.tx_by_node[sender.node_id] += 1
-        self.metrics.tx_by_link[(sender.node_id, target_id)] += 1
+        link.sent += 1
         stats = link.stats
         if link.loss > 0.0 and link.loss_rng.random() < link.loss:
             stats.record_outcome(False)
@@ -492,7 +511,7 @@ class Simulation:
             stats.record_outcome(False)
             self._drop(packet, DropCause.NODE_DEATH)
             return
-        self.metrics.rx_by_node[target_id] += 1
+        target.received += 1
         stats.record_outcome(True)
         rate = target.rate_rt if packet.cls is TrafficClass.RT else target.rate_nrt
         rate.observe(self.now)
@@ -547,15 +566,23 @@ class Simulation:
         return link
 
     def _allowed_area(self, nid: int) -> float:
-        area = self._area_cache.get(nid)
-        if area is None:
-            pos = self.topology.positions[nid]
-            if distance(pos, self.sink_position) <= 0.0:
-                area = 0.0
-            else:
-                area = allowed_area(pos, self.sink_position, self.cfg.radio_range)
-            self._area_cache[nid] = area
-        return area
+        pos = self.topology.positions[nid]
+        if distance(pos, self.sink_position) <= 0.0:
+            return 0.0
+        return allowed_area(pos, self.sink_position, self.cfg.radio_range)
+
+    def _hops_to_sink(self, node: NodeState, alive: int) -> int:
+        """Hops of a straight path to the sink at the relay spacing of
+        `alive` neighbors over the node's allowed area; 0 when the area or
+        the spacing is not positive, which disables the predictive drop."""
+        area = self._allowed_area(node.node_id)
+        if area <= 0.0:
+            return 0
+        spacing = delta(area, alive)
+        if spacing <= 0.0:
+            return 0
+        # looked up on routing, where perfbench/tracer.py wraps it
+        return routing.hops_linear(node.position, self.sink_position, spacing)
 
     def _finalize(self) -> None:
         m = self.metrics
@@ -570,6 +597,22 @@ class Simulation:
             if battery is not None:
                 m.energy_by_node[nid] = battery.consumed
                 m.residual_by_node[nid] = battery.residual
+            sent = 0
+            for target, link in st.links.items():
+                if link.sent:
+                    m.tx_by_link[(nid, target)] = link.sent
+                    sent += link.sent
+            if sent:
+                m.tx_by_node[nid] = sent
+            if st.received:
+                m.rx_by_node[nid] = st.received
+            for cls, count, total in (
+                (TrafficClass.RT, st.waits_rt, st.wait_sum_rt),
+                (TrafficClass.NRT, st.waits_nrt, st.wait_sum_nrt),
+            ):
+                if count:
+                    m.wait_count[(nid, cls)] = count
+                    m.wait_sum[(nid, cls)] = total
         # raise, not assert, so the checks stay on under python -O; the
         # ledger comes first, since a debit that drains less than it reports
         # leaves its battery's stored level behind as well

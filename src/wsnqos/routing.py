@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .energy import RadioParams
-from .geometry import Position, hops_linear
+# the engine calls hops_linear through this module, where perfbench/tracer.py
+# wraps it
+from .geometry import Position, hops_linear  # noqa: F401
 from .node import TrafficClass
 from .queueing import QueueModelParams, UnstableError, wait_nrt, wait_rt
 
@@ -155,19 +157,13 @@ def min_finite_delay(table: list[NeighborEntry]) -> float | None:
 
 
 def predictive_drop_check(
-    deadline: float,
-    now: float,
-    sender: Position,
-    sink: Position,
-    spacing: float,
-    min_hop_delay: float,
+    deadline: float, now: float, hops: int, min_hop_delay: float
 ) -> bool:
     """True to keep the packet, False to drop it as unable to meet its deadline.
 
-    Estimates the remaining path as hops_linear(sender, sink, spacing) hops,
+    The remaining path is `hops` hops, hops_linear(sender, sink, spacing),
     each costing at least the best currently-predicted per-hop delay.
     """
     if now > deadline:
         return False
-    remaining_hops = hops_linear(sender, sink, spacing)
-    return now + remaining_hops * min_hop_delay <= deadline
+    return now + hops * min_hop_delay <= deadline

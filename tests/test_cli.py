@@ -117,6 +117,18 @@ def test_timeline_schema_and_content(tmp_path, scenario_file):
     assert all(0 <= n <= 1 for n in alive_counts)
 
 
+@pytest.mark.parametrize("with_file", [True, False], ids=["file", "defaults"])
+def test_duration_override_sets_the_default_bucket(tmp_path, scenario_file, with_file):
+    # the default bucket is duration / 100 of the duration the run uses
+    argv = ["--config", str(scenario_file)] if with_file else []
+    duration = "10" if with_file else "2"
+    argv += ["--duration", duration, "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    _, rows = read_rows(tmp_path / "timeline.csv")
+    assert len(rows) == 100
+    assert rows[-1][1] == duration
+
+
 def test_byte_identical_reruns(tmp_path, scenario_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

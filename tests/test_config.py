@@ -148,6 +148,18 @@ class TestLoadConfig:
         assert cfg.seed == 42 and cfg.duration == 7.0
         assert load_config(str(path)) == cfg
 
+    def test_overrides_resolve_before_the_defaults(self, tmp_path):
+        # checked on the config only: a run of 1e8 s would not finish
+        path = tmp_path / "scenario.txt"
+        path.write_text("duration = 100\n")
+        cfg = load_config(str(path), duration=1e8, seed=7)
+        assert (cfg.duration, cfg.seed) == (1e8, 7)
+        assert cfg.timeline_bucket == 1e6
+        assert cfg.timeline_bucket_count() == 100
+        # a bucket the file sets is kept
+        path.write_text("duration = 100\ntimeline_bucket = 5\n")
+        assert load_config(str(path), duration=10.0).timeline_bucket_count() == 2
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(str(tmp_path / "nope.txt"))

@@ -24,7 +24,8 @@ from wsnqos.engine import (
     run,
     stream_rng,
 )
-from wsnqos.geometry import delta, distance
+from wsnqos.geometry import delta, distance, hops_linear
+from wsnqos.linkest import LinkStats
 from wsnqos.node import Packet, TrafficClass, classify_enqueue
 from wsnqos.queueing import ClassLoad, QueueModelParams
 from wsnqos.routing import (
@@ -306,6 +307,27 @@ class TestNodeDeath:
         assert m.alive_at(t_death / 2) == 1
         assert m.alive_at(t_death) == 0
 
+    def test_relay_killed_by_a_receive_counts_the_send_only(self):
+        # relay 1 is node 2's only way to the sink; at this seed the relay's
+        # own sends drain it between one of node 2's decisions and that
+        # packet's arrival, so the receive debit kills it: the send is
+        # counted on link (2, 1), the reception is not
+        cfg = ScenarioConfig(
+            node_count=3,
+            positions={1: (550.0, 500.0), 2: (600.0, 500.0)},
+            rate_rt=200.0,
+            rate_nrt=0.0,
+            duration=2.0,
+            deadline_rt=10.0,
+            initial_energy=1e-4,
+            seed=16,
+        )
+        m = run(cfg)
+        assert [nid for _when, nid in m.deaths] == [1]
+        assert m.drop_count(DropCause.LINK_LOSS) == 0
+        assert m.rx_by_node.keys() == {1}
+        assert m.rx_by_node[1] == m.tx_by_link[(2, 1)] - 1
+
 
 class TestBufferOverflow:
     def test_overloaded_source_fills_its_queue(self):
@@ -404,7 +426,10 @@ def reference_route(sim, node, packet):
         if area > 0.0 and hop_delay is not None:
             spacing = delta(area, len(table))
             if spacing > 0.0 and not predictive_drop_check(
-                packet.deadline, sim.now, node.position, sim.sink_position, spacing, hop_delay
+                packet.deadline,
+                sim.now,
+                hops_linear(node.position, sim.sink_position, spacing),
+                hop_delay,
             ):
                 return DropCause.PREDICTIVE, table
     choice = select_next_hop(table, sim.weights)
@@ -502,6 +527,9 @@ class TestRouteMatchesReference:
                 seen["dead"] += len(table) < len(node.allowed)
                 costs = [e.cost for e in table if math.isfinite(e.cost)]
                 seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
+            # the sender keeps one hop estimate per alive-neighbor count, so
+            # the trials above checked both new and kept estimates
+            assert len(node.hops_by_alive) >= 3, node.hops_by_alive
         assert trials >= 1000
         for case in (
             "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, TrafficClass.RT,
@@ -570,7 +598,9 @@ class TestEnergyLedgerClosure:
 def test_link_state_is_built_once_per_link(monkeypatch):
     # per-link facts (transmit energy, loss probability) are computed when a
     # link carries its first send and never again; counted on a multi-hop
-    # lossy run with a per-link loss override and relay deaths
+    # lossy run with a per-link loss override and relay deaths. The same run
+    # checks the exported per-link and per-node tallies against calls
+    # counted from outside the engine.
     calls = Counter()
 
     def counted(name, fn):
@@ -584,6 +614,34 @@ def test_link_state_is_built_once_per_link(monkeypatch):
                         counted("tx_energy", wsnqos.engine.tx_energy))
     monkeypatch.setattr(ScenarioConfig, "loss_for",
                         counted("loss_for", ScenarioConfig.loss_for))
+
+    outcomes = Counter()  # id(LinkStats) -> record_outcome calls
+    record_outcome = LinkStats.record_outcome
+
+    def counted_outcome(stats, delivered):
+        outcomes[id(stats)] += 1
+        return record_outcome(stats, delivered)
+
+    receptions = Counter()  # id(Battery) -> receive debits it survived
+    debit = Battery.debit
+
+    def counted_debit(battery, amount):
+        drained = debit(battery, amount)
+        if amount == rx_cost and battery.alive:
+            receptions[id(battery)] += 1
+        return drained
+
+    routed = Counter()
+    route = Simulation._route
+
+    def counted_route(sim, node, packet):
+        decision = route(sim, node, packet)
+        routed[isinstance(decision, DropCause)] += 1
+        return decision
+
+    monkeypatch.setattr(LinkStats, "record_outcome", counted_outcome)
+    monkeypatch.setattr(Battery, "debit", counted_debit)
+    monkeypatch.setattr(Simulation, "_route", counted_route)
     cfg = ScenarioConfig(
         node_count=30,
         grid_width=300.0,
@@ -596,6 +654,7 @@ def test_link_state_is_built_once_per_link(monkeypatch):
         initial_energy=0.003,
         seed=2,
     )
+    rx_cost = rx_energy(cfg.packet_bits, cfg.radio_params())
     sim = Simulation(cfg)
     m = sim.run()
     assert m.deaths
@@ -606,6 +665,26 @@ def test_link_state_is_built_once_per_link(monkeypatch):
     assert calls["tx_energy"] == links
     assert calls["loss_for"] == links
     assert 20 * links < sends
+
+    sent_by_link = Counter()
+    for u, st in sim.nodes.items():
+        for v, link in st.links.items():
+            if outcomes[id(link.stats)]:
+                sent_by_link[(u, v)] = outcomes[id(link.stats)]
+    assert m.tx_by_link == sent_by_link
+    assert sum(outcomes.values()) == sends
+    sent_by_node = Counter()
+    for (u, _v), n in m.tx_by_link.items():
+        sent_by_node[u] += n
+    assert m.tx_by_node == sent_by_node
+    node_of_battery = {
+        id(st.battery): nid for nid, st in sim.nodes.items() if st.battery is not None
+    }
+    assert m.rx_by_node == Counter(
+        {node_of_battery[b]: n for b, n in receptions.items()}
+    )
+    assert routed[True] > 0  # some decisions dropped the packet
+    assert m.wait_count.total() == routed[False]
 
 
 def test_invariant_checks_run_under_python_O():

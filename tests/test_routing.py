@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wsnqos.energy import RadioParams
-from wsnqos.geometry import Position
+from wsnqos.geometry import Position, hops_linear
 from wsnqos.node import TrafficClass
 from wsnqos.queueing import ClassLoad, QueueModelParams
 from wsnqos.routing import (
@@ -223,18 +223,19 @@ class TestPredictiveDrop:
     SINK = Position(0.0, 0.0)
 
     def test_slack_deadline_keeps(self):
-        sender = Position(50.0, 0.0)
-        assert predictive_drop_check(math.inf, 0.0, sender, self.SINK, 5.0, 5e-3)
+        hops = hops_linear(Position(50.0, 0.0), self.SINK, 5.0)
+        assert predictive_drop_check(math.inf, 0.0, hops, 5e-3)
 
     def test_already_expired_drops(self):
-        sender = Position(50.0, 0.0)
-        assert not predictive_drop_check(1.0, 1.5, sender, self.SINK, 5.0, 1e-6)
+        hops = hops_linear(Position(50.0, 0.0), self.SINK, 5.0)
+        assert not predictive_drop_check(1.0, 1.5, hops, 1e-6)
 
     def test_ten_hops_at_5ms_cannot_meet_40ms(self):
         # distance 50 at spacing 5 estimates 10 hops; 10 * 5 ms > 40 ms left
-        sender = Position(50.0, 0.0)
-        assert not predictive_drop_check(0.040, 0.0, sender, self.SINK, 5.0, 5e-3)
+        hops = hops_linear(Position(50.0, 0.0), self.SINK, 5.0)
+        assert hops == 10
+        assert not predictive_drop_check(0.040, 0.0, hops, 5e-3)
 
     def test_same_path_meets_60ms(self):
-        sender = Position(50.0, 0.0)
-        assert predictive_drop_check(0.060, 0.0, sender, self.SINK, 5.0, 5e-3)
+        hops = hops_linear(Position(50.0, 0.0), self.SINK, 5.0)
+        assert predictive_drop_check(0.060, 0.0, hops, 5e-3)
