@@ -8,7 +8,8 @@ Outputs, written into --out:
 
 Floats are printed with 9 significant digits; identical (config, seed)
 invocations produce byte-identical files. A seed sweep (--seeds N) runs
-seeds base, base+1, ..., base+N-1 and writes rows in that order.
+seeds base, base+1, ..., base+N-1 and writes each seed's rows, in that
+order, when its run ends.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
+from typing import TextIO
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import DropCause, Metrics, run
@@ -102,11 +104,14 @@ def timeline_rows(seed: int, cfg: ScenarioConfig, m: Metrics) -> list[list[str]]
     return rows
 
 
+def write_rows(fh: TextIO, rows: list[list[str]]) -> None:
+    for row in rows:
+        fh.write(",".join(row) + "\n")
+
+
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        write_rows(fh, [header, *rows])
 
 
 def summarize(seed: int, m: Metrics) -> str:
@@ -170,9 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.seeds < 1:
             raise ConfigError("seeds", "must be >= 1")
-        run_cfgs = [
-            replace(cfg, seed=seed) for seed in range(cfg.seed, cfg.seed + args.seeds)
-        ]
+        seeds = range(cfg.seed, cfg.seed + args.seeds)
+        # a sweep past the largest seed fails here, before any file is
+        # written; each seed's own config is built when the sweep reaches it
+        replace(cfg, seed=seeds[-1])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -180,26 +186,30 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    metric_rows = []
-    tl_rows = []
-    for run_cfg in run_cfgs:
-        seed = run_cfg.seed
-        metrics = run(run_cfg)
-        metric_rows.append(metrics_row(seed, metrics))
-        tl_rows.extend(timeline_rows(seed, run_cfg, metrics))
-        if not args.quiet:
-            print(summarize(seed, metrics))
-
+    # opened before the first run, so an unwritable --out fails at once
     out_dir = Path(args.out)
+    metrics_path = out_dir / "metrics.csv"
+    timeline_path = out_dir / "timeline.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, metric_rows)
-        write_csv(out_dir / "timeline.csv", TIMELINE_COLUMNS, tl_rows)
+        with (
+            open(metrics_path, "w", encoding="utf-8", newline="") as metrics_fh,
+            open(timeline_path, "w", encoding="utf-8", newline="") as timeline_fh,
+        ):
+            write_rows(metrics_fh, [METRICS_COLUMNS])
+            write_rows(timeline_fh, [TIMELINE_COLUMNS])
+            for seed in seeds:
+                run_cfg = replace(cfg, seed=seed)
+                metrics = run(run_cfg)
+                write_rows(metrics_fh, [metrics_row(seed, metrics)])
+                write_rows(timeline_fh, timeline_rows(seed, run_cfg, metrics))
+                if not args.quiet:
+                    print(summarize(seed, metrics))
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:
-        print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'timeline.csv'}")
+        print(f"wrote {metrics_path} and {timeline_path}")
     return 0
 
 

@@ -298,6 +298,7 @@ class Simulation:
     def run(self) -> Metrics:
         horizon = self.cfg.duration
         heap = self.heap
+        nodes = self.nodes
         generated = EventKind.PACKET_GENERATED
         tx_complete = EventKind.TRANSMISSION_COMPLETE
         while heap:
@@ -312,7 +313,16 @@ class Simulation:
             if kind is generated:
                 self._on_generated(nid, cls)
             elif kind is tx_complete:
-                self._on_tx_complete(nid, packet, target)
+                node = nodes[nid]
+                queues = node.queues
+                queues.in_service = None
+                if not node.alive:
+                    # receive debits killed the node mid-service
+                    self._drop(packet, DropCause.NODE_DEATH)
+                else:
+                    self._deliver(node, packet, target)
+                    if node.alive and (queues.rt or queues.nrt):
+                        self._try_start_service(node)
             else:
                 self._on_node_death(nid)
             if self.alive_sources == 0 and self._pending_deaths == 0:
@@ -340,21 +350,7 @@ class Simulation:
         self._next_packet_id += 1
         self.metrics.generated[cls] += 1
         (node.rate_rt if cls is TrafficClass.RT else node.rate_nrt).observe(self.now)
-        if not classify_enqueue(node.queues, packet):
-            self._drop(packet, DropCause.BUFFER_OVERFLOW)
-        elif node.queues.in_service is None:
-            self._try_start_service(node)
-
-    def _on_tx_complete(self, nid: int, packet: Packet, target: int) -> None:
-        node = self.nodes[nid]
-        node.queues.in_service = None
-        if not node.alive:
-            # receive debits killed the node mid-service
-            self._drop(packet, DropCause.NODE_DEATH)
-            return
-        self._deliver(node, packet, target)
-        if node.alive and node.queues.in_service is None:
-            self._try_start_service(node)
+        self._arrive(node, packet)
 
     def _on_node_death(self, nid: int) -> None:
         self._pending_deaths -= 1
@@ -368,38 +364,60 @@ class Simulation:
 
     # -- packet lifecycle ----------------------------------------------
 
-    def _try_start_service(self, node: NodeState) -> None:
+    def _arrive(self, node: NodeState, packet: Packet) -> None:
+        """Admit a packet that has just reached an alive node.
+
+        A node that is idle with both queues empty serves it at once, with
+        zero wait: no other packet can go first, so this is what queueing
+        it and dequeueing it again would do. Otherwise the packet takes the
+        queue path: it joins its class queue, or is dropped when that queue
+        is full. A node is idle with queued packets only when they were
+        placed from outside the event loop; it then drains its queues.
+        """
         queues = node.queues
-        if queues.in_service is not None or not node.alive:
-            return
-        while True:
-            if not queues.rt and not queues.nrt:
-                return
+        if queues.in_service is None and not queues.rt and not queues.nrt:
+            self._serve(node, packet)
+        elif not classify_enqueue(queues, packet):
+            self._drop(packet, DropCause.BUFFER_OVERFLOW)
+        elif queues.in_service is None:
+            self._try_start_service(node)
+
+    def _serve(self, node: NodeState, packet: Packet) -> bool:
+        """Route a packet that an idle node takes up, straight on arrival or
+        from its queues, and put it on the radio; False when the decision
+        drops it instead. Its wait at the node ends now."""
+        decision = self._route(node, packet)
+        if isinstance(decision, DropCause):
+            self._drop(packet, decision)
+            return False
+        wait = self.now - packet.hop_trace[-1][1]
+        if packet.cls is TrafficClass.RT:
+            node.wait_sum_rt += wait
+            node.waits_rt += 1
+        else:
+            node.wait_sum_nrt += wait
+            node.waits_nrt += 1
+        node.queues.in_service = packet
+        self._push(
+            self.now + self._x,
+            EventKind.TRANSMISSION_COMPLETE,
+            node.node_id,
+            packet=packet,
+            target=decision,
+        )
+        return True
+
+    def _try_start_service(self, node: NodeState) -> None:
+        """Queue path of an idle, alive node: drop the expired packets, then
+        serve the next packet in priority order, until one is on the radio
+        or both queues are empty."""
+        queues = node.queues
+        while queues.rt or queues.nrt:
             for p in expire_drops(queues, self.now):
                 self._drop(p, DropCause.EXPIRED)
             packet = dequeue_next(queues)
-            if packet is None:
+            if packet is None or self._serve(node, packet):
                 return
-            decision = self._route(node, packet)
-            if isinstance(decision, DropCause):
-                self._drop(packet, decision)
-                continue
-            wait = self.now - packet.hop_trace[-1][1]
-            if packet.cls is TrafficClass.RT:
-                node.wait_sum_rt += wait
-                node.waits_rt += 1
-            else:
-                node.wait_sum_nrt += wait
-                node.waits_nrt += 1
-            queues.in_service = packet
-            self._push(
-                self.now + self._x,
-                EventKind.TRANSMISSION_COMPLETE,
-                node.node_id,
-                packet=packet,
-                target=decision,
-            )
-            return
 
     def _route(self, node: NodeState, packet: Packet) -> int | DropCause:
         """Next hop for the packet, or the cause to drop it.
@@ -519,11 +537,7 @@ class Simulation:
             self._drop(packet, DropCause.EXPIRED)
             return
         packet.hop_trace.append((target_id, self.now))
-        if not classify_enqueue(target.queues, packet):
-            self._drop(packet, DropCause.BUFFER_OVERFLOW)
-            return
-        if target.queues.in_service is None:
-            self._try_start_service(target)
+        self._arrive(target, packet)
 
     def _record_delivery(self, packet: Packet) -> None:
         m = self.metrics

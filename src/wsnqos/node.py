@@ -52,13 +52,10 @@ class NodeQueues:
     nrt: deque = field(default_factory=deque)
     in_service: Packet | None = None
 
-    def _queue_for(self, cls: TrafficClass) -> deque:
-        return self.rt if cls is TrafficClass.RT else self.nrt
-
 
 def classify_enqueue(queues: NodeQueues, packet: Packet) -> bool:
     """Append the packet to its class queue; False when the queue is full."""
-    q = queues._queue_for(packet.cls)
+    q = queues.rt if packet.cls is TrafficClass.RT else queues.nrt
     if len(q) >= queues.capacity:
         return False
     q.append(packet)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsnqos
+from wsnqos import cli
 from wsnqos.cli import METRICS_COLUMNS, TIMELINE_COLUMNS, main
 from wsnqos.config import (
     _SCALAR_KEYS,
@@ -162,6 +163,37 @@ def test_unwritable_output_exit_code(tmp_path, scenario_file, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err != ""
+
+
+def test_unwritable_output_fails_before_any_run(tmp_path, scenario_file, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"seed {cfg.seed} ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    argv = ["--config", str(scenario_file), "--duration", "3", "--seeds", "3"]
+    assert main(argv + ["--out", str(blocker / "out"), "--quiet"]) == 1
+    assert "cannot write results" in capsys.readouterr().err
+
+
+def test_seeds_before_a_failed_run_keep_their_rows(tmp_path, scenario_file, monkeypatch):
+    run = cli.run
+
+    def fail_third(cfg):
+        if cfg.seed == 102:
+            raise RuntimeError("run failed")
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run", fail_third)
+    argv = ["--config", str(scenario_file), "--seed", "100", "--seeds", "4"]
+    with pytest.raises(RuntimeError, match="run failed"):
+        main(argv + ["--out", str(tmp_path), "--quiet"])
+    header, rows = read_rows(tmp_path / "metrics.csv")
+    assert header == METRICS_COLUMNS
+    assert [r[0] for r in rows] == ["100", "101"]
+    _, timeline = read_rows(tmp_path / "timeline.csv")
+    assert sorted({r[0] for r in timeline}) == ["100", "101"]
 
 
 def test_invalid_seeds_value(tmp_path, scenario_file, capsys):

@@ -6,16 +6,18 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from math import fsum
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_with_deliveries
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 import wsnqos
-from wsnqos.config import SINK_ID, ScenarioConfig
+from wsnqos import cli
+from wsnqos.config import SINK_ID, ScenarioConfig, parse_config
 from wsnqos.energy import Battery, rx_energy, tx_energy
 from wsnqos.engine import (
     DropCause,
@@ -165,26 +167,27 @@ class TestLossAndPrr:
         assert m.delivered_total() == 0
 
 
-class TestChainForwarding:
-    def chain_cfg(self, **kw):
-        # head (id 2) out of sink range; must relay through the middle (id 1)
-        base = dict(
-            node_count=3,
-            positions={1: (560.0, 500.0), 2: (620.0, 500.0)},
-            sources=(2,),
-            rate_rt=200.0,
-            rate_nrt=0.0,
-            duration=30.0,
-            deadline_rt=100.0,
-            queue_capacity=10_000,
-            initial_energy=50.0,
-            seed=6,
-        )
-        base.update(kw)
-        return ScenarioConfig(**base)
+def chain_cfg(**kw):
+    # head (id 2) out of sink range; must relay through the middle (id 1)
+    base = dict(
+        node_count=3,
+        positions={1: (560.0, 500.0), 2: (620.0, 500.0)},
+        sources=(2,),
+        rate_rt=200.0,
+        rate_nrt=0.0,
+        duration=30.0,
+        deadline_rt=100.0,
+        queue_capacity=10_000,
+        initial_energy=50.0,
+        seed=6,
+    )
+    base.update(kw)
+    return ScenarioConfig(**base)
 
+
+class TestChainForwarding:
     def test_two_hop_traces_and_progress(self):
-        sim = Simulation(self.chain_cfg())
+        sim = Simulation(chain_cfg())
         m, packets = run_with_deliveries(sim)
         assert m.delivered_total() > 1000
         for p in packets[:200]:
@@ -198,29 +201,33 @@ class TestChainForwarding:
     def test_deterministic_tandem_relay_never_queues(self):
         # the relay's service time equals the head's, so departures arrive
         # exactly when the relay frees up: zero wait at the middle node
-        m = run(self.chain_cfg())
+        m = run(chain_cfg())
         assert m.wait_count[(1, TrafficClass.RT)] > 1000
         assert m.mean_wait(1, TrafficClass.RT) == 0.0
 
     def test_within_class_fifo_on_the_path(self):
-        _m, packets = run_with_deliveries(Simulation(self.chain_cfg(duration=5.0)))
+        _m, packets = run_with_deliveries(Simulation(chain_cfg(duration=5.0)))
         ids = [p.packet_id for p in packets]
         assert ids == sorted(ids)
 
 
+def mixed_load_cfg():
+    # rho = 0.6 over both classes at one sensor
+    return two_node_cfg(
+        rate_rt=750.0,
+        rate_nrt=750.0,
+        duration=20.0,
+        seed=3,
+        deadline_rt=100.0,
+        deadline_nrt=100.0,
+        queue_capacity=10_000,
+        initial_energy=50.0,
+    )
+
+
 class TestPriorityService:
     def test_rt_waits_less_than_nrt_under_mixed_load(self):
-        cfg = two_node_cfg(
-            rate_rt=750.0,
-            rate_nrt=750.0,
-            duration=20.0,
-            seed=3,
-            deadline_rt=100.0,
-            deadline_nrt=100.0,
-            queue_capacity=10_000,
-            initial_energy=50.0,
-        )
-        m = run(cfg)
+        m = run(mixed_load_cfg())
         assert m.wait_count[(1, TrafficClass.RT)] > 5000
         assert m.mean_wait(1, TrafficClass.RT) < m.mean_wait(1, TrafficClass.NRT)
 
@@ -374,6 +381,131 @@ class TestExpiry:
         assert with_pred.drop_count(DropCause.PREDICTIVE) > 0
         # predictive dropping saves the energy of transmitting doomed packets
         assert with_pred.total_energy <= without.total_energy
+
+
+class QueueEveryArrival(Simulation):
+    """Oracle for the arrival rule: every arriving packet joins its class
+    queue, and an idle node then drains its queues. Serving a packet at
+    once when it reaches an idle node with empty queues must give the same
+    run."""
+
+    def _arrive(self, node, packet):
+        if not classify_enqueue(node.queues, packet):
+            self._drop(packet, DropCause.BUFFER_OVERFLOW)
+        elif node.queues.in_service is None:
+            self._try_start_service(node)
+
+
+def queued_rt_at_idle_sensor(sim):
+    # an RT packet placed by hand in idle node 1's queue; the first NRT
+    # arrival finds the radio idle but the queues not empty, so the RT
+    # packet must go first
+    sim.metrics.generated[TrafficClass.RT] += 1
+    classify_enqueue(sim.nodes[1].queues, Packet(10**6, TrafficClass.RT, 1, 0.0, 50.0))
+
+
+ARRIVAL_SCENARIOS = {
+    "saturated_relay": (
+        lambda: parse_config(GOLDEN_SCENARIOS["saturated_relay"][0]),
+        None,
+    ),
+    "queue_capacity_1": (
+        lambda: two_node_cfg(
+            rate_rt=1500.0,
+            rate_nrt=1500.0,
+            duration=2.0,
+            queue_capacity=1,
+            deadline_rt=1.0,
+            deadline_nrt=1.0,
+            initial_energy=50.0,
+            seed=4,
+        ),
+        None,
+    ),
+    "lossy_deaths_expiry": (
+        lambda: ScenarioConfig(
+            node_count=30,
+            grid_width=250.0,
+            grid_height=250.0,
+            loss=0.2,
+            initial_energy=0.003,
+            rate_rt=60.0,
+            rate_nrt=60.0,
+            duration=5.0,
+            deadline_rt=0.002,
+            deadline_nrt=0.003,
+            predictive_drop=False,
+            seed=1,
+        ),
+        None,
+    ),
+    "mixed_load": (mixed_load_cfg, None),
+    "queued_at_idle_node": (
+        lambda: two_node_cfg(rate_rt=0.0, rate_nrt=5.0, duration=10.0),
+        queued_rt_at_idle_sensor,
+    ),
+}
+
+
+@pytest.fixture()
+def enqueue_calls(monkeypatch):
+    """Counts the engine's classify_enqueue calls."""
+    calls = Counter()
+    enqueue = wsnqos.engine.classify_enqueue
+
+    def counted(queues, packet):
+        calls["enqueue"] += 1
+        return enqueue(queues, packet)
+
+    monkeypatch.setattr(wsnqos.engine, "classify_enqueue", counted)
+    return calls
+
+
+class TestArrivalRule:
+    @staticmethod
+    def run(sim_class, cfg, prepare):
+        sim = sim_class(cfg)
+        if prepare is not None:
+            prepare(sim)
+        return sim.run()
+
+    @pytest.mark.parametrize("name", sorted(ARRIVAL_SCENARIOS))
+    def test_matches_queueing_every_arrival(self, enqueue_calls, name):
+        make_cfg, prepare = ARRIVAL_SCENARIOS[name]
+        cfg = make_cfg()
+        m = self.run(Simulation, cfg, prepare)
+        assert enqueue_calls["enqueue"] > 0  # some packets found their node busy
+        oracle = self.run(QueueEveryArrival, cfg, prepare)
+        assert cli.metrics_row(cfg.seed, m) == cli.metrics_row(cfg.seed, oracle)
+        assert cli.timeline_rows(cfg.seed, cfg, m) == cli.timeline_rows(
+            cfg.seed, cfg, oracle
+        )
+        assert m == oracle
+        if name == "queue_capacity_1":
+            assert m.drop_count(DropCause.BUFFER_OVERFLOW) > 0
+        if name == "lossy_deaths_expiry":
+            assert m.deaths and m.drop_count(DropCause.EXPIRED) > 0
+
+    def test_light_load_never_queues(self, enqueue_calls):
+        class NoAppend(deque):
+            def append(self, packet):
+                raise AssertionError(f"packet {packet.packet_id} was queued")
+
+        sim = Simulation(chain_cfg(rate_rt=1.0, duration=100.0))
+        for st in sim.nodes.values():
+            st.queues.rt, st.queues.nrt = NoAppend(), NoAppend()
+        m, packets = run_with_deliveries(sim)
+        assert enqueue_calls["enqueue"] == 0
+        assert len(packets) == m.generated_total() > 50
+        # each packet was served at once at the head and at the relay
+        assert m.wait_count == Counter(
+            {(2, TrafficClass.RT): len(packets), (1, TrafficClass.RT): len(packets)}
+        )
+        assert all(total == 0.0 for total in m.wait_sum.values())
+        for p in packets:
+            times = [t for _nid, t in p.hop_trace]
+            assert times[1] - times[0] == pytest.approx(SERVICE, abs=1e-12)
+            assert times[2] - times[1] == pytest.approx(SERVICE, abs=1e-12)
 
 
 class FixedRate:
