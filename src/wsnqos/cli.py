@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
@@ -84,23 +83,12 @@ def metrics_row(seed: int, m: Metrics) -> list[str]:
 
 def timeline_rows(seed: int, cfg: ScenarioConfig, m: Metrics) -> list[list[str]]:
     rows = []
-    bucket = cfg.timeline_bucket
-    if cfg.duration <= 0.0:
-        points = [0.0]
-    else:
-        points = [
-            min((i + 1) * bucket, cfg.duration)
-            for i in range(cfg.timeline_bucket_count())
-        ]
-    for t in points:
-        rows.append(
-            [
-                str(seed),
-                _fnum(t),
-                str(m.alive_at(t)),
-                str(bisect_right(m.delivered_times, t)),
-            ]
-        )
+    delivered = 0
+    # the last count is of deliveries after the last point: no row shows it
+    counts = m.delivered_by_bucket[:-1]
+    for t, count in zip(cfg.timeline_points(), counts, strict=True):
+        delivered += count
+        rows.append([str(seed), _fnum(t), str(m.alive_at(t)), str(delivered)])
     return rows
 
 

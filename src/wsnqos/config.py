@@ -17,7 +17,8 @@ Key reference (defaults in parentheses):
     radio.bandwidth (250000)                  link rate, bit/s
     radio.range (crossover distance)          radio reach, m
     packet_bits (100), initial_energy (2.0)
-    rate.rt (1.0), rate.nrt (1.0)             per-source arrival rates, pkt/s
+    rate.rt (1.0), rate.nrt (1.0)             per-source arrival rates, pkt/s;
+                                              at most 10^8 packets expected
     deadline.rt (0.05), deadline.nrt (0.5)    deadline budgets, s
     sources (all)                             "all" or comma-separated ids
     alpha (0.6), beta (0.3), gamma (0.1)      cost weights
@@ -48,6 +49,9 @@ from .routing import CostWeights
 SINK_ID = 0
 # timeline.csv rows per seed; the bucket end points are built as a list
 MAX_TIMELINE_BUCKETS = 1_000_000
+# packets a run expects to generate; arrival instants are drawn at set-up,
+# 8 B each, so at the cap they come to about 1 GB
+MAX_EXPECTED_PACKETS = 10**8
 
 
 class ConfigError(ValueError):
@@ -198,6 +202,20 @@ class ScenarioConfig:
             raise ConfigError("sink.x", "sink outside the grid")
         if not (0.0 <= self.sink_y <= self.grid_height):
             raise ConfigError("sink.y", "sink outside the grid")
+        # sources counted without source_ids(), which lists every id
+        sources = (
+            self.node_count - 1 if self.sources is None else len(set(self.sources))
+        )
+        try:
+            expected = (self.rate_rt + self.rate_nrt) * self.duration * sources
+        except OverflowError:
+            expected = math.inf
+        if not expected <= MAX_EXPECTED_PACKETS:
+            raise ConfigError(
+                "rate.rt" if self.rate_rt >= self.rate_nrt else "rate.nrt",
+                f"(rate.rt + rate.nrt) x duration x sources must be <= "
+                f"{MAX_EXPECTED_PACKETS} expected packets, got {expected}",
+            )
         buckets = self.duration / self.timeline_bucket
         if not buckets <= MAX_TIMELINE_BUCKETS:
             raise ConfigError(
@@ -237,6 +255,17 @@ class ScenarioConfig:
     def timeline_bucket_count(self) -> int:
         """Rows of timeline.csv per seed."""
         return max(1, math.ceil(self.duration / self.timeline_bucket))
+
+    def timeline_points(self) -> list[float]:
+        """The times timeline.csv reports at, one per row, in ascending
+        order: each bucket's end, the last one clipped to the duration."""
+        if self.duration <= 0.0:
+            return [0.0]
+        bucket = self.timeline_bucket
+        return [
+            min((i + 1) * bucket, self.duration)
+            for i in range(self.timeline_bucket_count())
+        ]
 
     def loss_for(self, u: int, v: int) -> float:
         return self.link_loss.get((u, v), self.loss)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -77,15 +79,22 @@ class Metrics:
     rx_by_node, tx_by_link) are kept on the run's node and link records
     and filled in by Simulation._finalize, so they read empty until run()
     returns. A key appears only when its count is nonzero.
+
+    Each end-to-end delay is kept, 8 B per sample, for an exact p95.
+    delivered_by_bucket[i] counts the deliveries after timeline point i - 1
+    and at or before point i (ScenarioConfig.timeline_points); its one extra
+    last slot counts those after the last point, which no timeline row shows.
     """
 
     generated: Counter = field(default_factory=Counter)  # cls -> n
     delivered: Counter = field(default_factory=Counter)  # cls -> n
     drops: Counter = field(default_factory=Counter)  # (cause, cls) -> n
     delays: dict = field(
-        default_factory=lambda: {TrafficClass.RT: [], TrafficClass.NRT: []}
+        default_factory=lambda: {
+            TrafficClass.RT: array("d"), TrafficClass.NRT: array("d")
+        }
     )
-    delivered_times: list[float] = field(default_factory=list)
+    delivered_by_bucket: list[int] = field(default_factory=list)
     wait_sum: defaultdict = field(default_factory=lambda: defaultdict(float))
     wait_count: Counter = field(default_factory=Counter)  # (node, cls) -> n
     tx_by_node: Counter = field(default_factory=Counter)
@@ -135,26 +144,66 @@ class Metrics:
         return self.sensor_count - sum(1 for when, _nid in self.deaths if when <= t)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, at least one:
+    the words numpy's SeedSequence makes of each int in its entropy."""
+    if n < 0:
+        raise ValueError(f"seed words need a non-negative int, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def stream_rng(master_seed: int, label: str) -> np.random.Generator:
-    """Generator for one named stochastic stream of a run."""
+    """Generator for one named stochastic stream of a run.
+
+    Its entropy is the pair [master_seed, tag], tag a hash of the label.
+    SeedSequence takes a uint32 array as its words unchanged, so handing it
+    the words it would make of the pair gives the same pool without its
+    per-int coercion; default_rng would wrap the same PCG64 in the same
+    Generator.
+    """
     tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([master_seed, tag]))
+    words = _uint32_words(master_seed) + _uint32_words(tag)
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator):
-    """Arrival instants of a Poisson process with the given rate on (0, horizon]."""
+    """Arrival instants of a Poisson process with the given rate on (0, horizon].
+
+    The gaps are drawn in chunks of about 1.2 x the expected count; each
+    chunk after the first starts from the last instant before it. The first
+    gap is drawn alone, so a stream with no arrival in the horizon costs one
+    draw; a Generator's scalar and array draws take the same values from its
+    stream, and cumsum adds in order, so the instants do not depend on it.
+    """
     if rate <= 0.0 or horizon <= 0.0:
         return np.empty(0)
-    chunks = []
-    last = 0.0
-    while last <= horizon:
-        n = max(64, int(rate * (horizon - last) * 1.2) + 64)
-        gaps = rng.exponential(1.0 / rate, size=n)
-        chunk = last + np.cumsum(gaps)
-        chunks.append(chunk)
-        last = float(chunk[-1])
-    times = np.concatenate(chunks)
-    return times[times <= horizon]
+    scale = 1.0 / rate
+    first = rng.exponential(scale)
+    if first > horizon:
+        return np.empty(0)
+    n = max(64, int(rate * horizon * 1.2) + 64)
+    times = np.empty(n)
+    times[0] = first
+    times[1:] = rng.exponential(scale, size=n - 1)
+    np.cumsum(times, out=times)
+    last = float(times[-1])
+    if last <= horizon:
+        chunks = [times]
+        while last <= horizon:
+            n = max(64, int(rate * (horizon - last) * 1.2) + 64)
+            chunk = last + np.cumsum(rng.exponential(scale, size=n))
+            chunks.append(chunk)
+            last = float(chunk[-1])
+        times = np.concatenate(chunks)
+    # the instants never decrease, so those up to the horizon are a prefix;
+    # copied, so a held stream does not keep its chunk's tail past the horizon
+    return times[: np.searchsorted(times, horizon, side="right")].copy()
 
 
 class Link:
@@ -224,7 +273,11 @@ class Simulation:
         # seq breaks time ties in scheduling order, so the tuple comparison
         # never reaches the later fields
         self.heap: list[tuple] = []
-        self.metrics = Metrics(sensor_count=cfg.node_count - 1)
+        self._timeline_points = cfg.timeline_points()
+        self.metrics = Metrics(
+            sensor_count=cfg.node_count - 1,
+            delivered_by_bucket=[0] * (len(self._timeline_points) + 1),
+        )
 
         self.topology = self._place_nodes()
         self.sink_position = self.topology.positions[SINK_ID]
@@ -255,10 +308,13 @@ class Simulation:
         rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
         for nid in sorted(self.source_set):
             for cls in TrafficClass:
-                rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
-                self._arrivals[(nid, cls)] = map(
-                    float, poisson_arrival_times(rates[cls], cfg.duration, rng)
-                )
+                # a class that never fires gets no generator; streams are
+                # keyed by label, so leaving one unbuilt moves no other
+                times = ()
+                if rates[cls] > 0.0:
+                    rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
+                    times = poisson_arrival_times(rates[cls], cfg.duration, rng)
+                self._arrivals[(nid, cls)] = map(float, times)
                 self._schedule_next_arrival(nid, cls)
 
     # -- setup ---------------------------------------------------------
@@ -543,7 +599,7 @@ class Simulation:
         m = self.metrics
         m.delivered[packet.cls] += 1
         m.delays[packet.cls].append(self.now - packet.created_at)
-        m.delivered_times.append(self.now)
+        m.delivered_by_bucket[bisect_left(self._timeline_points, self.now)] += 1
         prev = math.inf
         for nid, _when in packet.hop_trace:
             d = self.topology.distance_to_sink(nid)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -230,7 +231,8 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
 # Inputs that passed the parser once and then broke the run: radio constants
 # that underflow to 0 J in SI units, deadline budgets the clock cannot add to
 # a creation time, a packet too big for a float and a zero-length packet, an
-# infinite service time, a rate averaging time whose inverse overflows.
+# infinite service time, a rate averaging time whose inverse overflows, too
+# many timeline rows, and more expected packets than set-up can draw.
 REJECTED_INPUTS = [
     ("radio.e_elec_nj = 1e-320", "radio: e_elec"),
     ("radio.eps_amp_pj = 1e-320", "radio: eps_amp"),
@@ -242,6 +244,9 @@ REJECTED_INPUTS = [
     ("rate_tau = 1e-320", "rate_tau"),
     ("timeline_bucket = 1e-320", "timeline_bucket"),
     ("timeline_bucket = 1e-5", "timeline_bucket"),
+    # arrivals are drawn at set-up: 10^6 packets/s for 100 s is at the cap
+    ("rate.rt = 1e300", "rate.rt"),
+    (f"rate.rt = {math.nextafter(1e6, math.inf)!r}", "rate.rt"),
 ]
 
 
@@ -249,6 +254,10 @@ REJECTED_INPUTS = [
     "line, key", REJECTED_INPUTS, ids=[line[:30] for line, _ in REJECTED_INPUTS]
 )
 def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
+    # refused by the config alone, before the command line could start a run
+    with pytest.raises(ConfigError) as refused:
+        parse_config(ONE_PACKET_SCENARIO + line + "\n")
+    assert str(refused.value).startswith(key)
     bad = tmp_path / "bad.txt"
     bad.write_text(ONE_PACKET_SCENARIO + line + "\n")
     assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
@@ -319,18 +328,21 @@ numbers = st.one_of(
 small_ids = st.integers(-1, 13).map(str)
 
 # Keys whose accepted values set the size of a run: at most 12 nodes, 0.05 s
-# simulated, rate x duration <= 100 arrivals per stream (arrivals are drawn
-# up front, so a huge rate exhausts memory) and at most 50 timeline rows.
+# simulated, rate x duration <= 100 arrivals per stream and at most 50
+# timeline rows. A rate of 1e300 is past the config's cap on expected packets
+# at any duration that is not (nearly) zero.
 BOUNDED = {
     "node_count": st.one_of(st.integers(-2, 12).map(str), st.sampled_from(INVALID)),
     "duration": st.one_of(
         st.floats(0.0, 0.05).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
     ),
     "rate.rt": st.one_of(
-        st.floats(0.0, 2e3).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+        st.floats(0.0, 2e3).map(repr),
+        st.sampled_from(INVALID + ["-0.0", "5e-324", "1e300"]),
     ),
     "rate.nrt": st.one_of(
-        st.floats(0.0, 2e3).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+        st.floats(0.0, 2e3).map(repr),
+        st.sampled_from(INVALID + ["-0.0", "5e-324", "1e300"]),
     ),
     "timeline_bucket": st.one_of(
         st.floats(1e-3, 1e308).map(repr), st.sampled_from(INVALID + ["0", "-0.0"])

@@ -149,9 +149,10 @@ class TestLoadConfig:
         assert load_config(str(path)) == cfg
 
     def test_overrides_resolve_before_the_defaults(self, tmp_path):
-        # checked on the config only: a run of 1e8 s would not finish
+        # checked on the config only: a run of 1e8 s would not finish. One
+        # source at 0.5 packets/s keeps it under the expected-packet cap.
         path = tmp_path / "scenario.txt"
-        path.write_text("duration = 100\n")
+        path.write_text("duration = 100\nsources = 1\nrate.rt = 0.25\nrate.nrt = 0.25\n")
         cfg = load_config(str(path), duration=1e8, seed=7)
         assert (cfg.duration, cfg.seed) == (1e8, 7)
         assert cfg.timeline_bucket == 1e6
@@ -176,6 +177,27 @@ class TestHelpers:
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
             replace(cfg, alpha=-2.0)
+
+    def test_expected_packets_are_capped(self):
+        # checked on the config only: a run at the cap draws 10^8 arrivals.
+        # 10 sources for 1000 s at 10^4 packets/s each reach it exactly.
+        cap = config.MAX_EXPECTED_PACKETS
+        base = ScenarioConfig(node_count=11, duration=1000.0, rate_rt=0.0,
+                              rate_nrt=1e4)
+        assert (base.rate_rt + base.rate_nrt) * base.duration * 10 == cap
+        over = math.nextafter(1e4, math.inf)
+        with pytest.raises(ConfigError, match="^rate.nrt: "):
+            replace(base, rate_nrt=over)
+        # the error names the larger rate
+        with pytest.raises(ConfigError, match="^rate.rt: "):
+            replace(base, rate_rt=over, rate_nrt=1.0)
+        # a listed source counts once
+        assert replace(base, node_count=20, sources=(1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+        with pytest.raises(ConfigError, match="^rate.nrt: "):
+            replace(base, node_count=20, sources=tuple(range(1, 12)))
+        # the default traffic, 598 streams at 1 packet/s, for 10^8 s
+        with pytest.raises(ConfigError, match="^rate.rt: "):
+            ScenarioConfig(duration=1e8)
 
     def test_timeline_bucket_count_is_capped(self):
         # checked on the config only: a run this fine would write a million

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter, deque
 from math import fsum
 from pathlib import Path
@@ -22,6 +24,7 @@ from wsnqos.energy import Battery, rx_energy, tx_energy
 from wsnqos.engine import (
     DropCause,
     Simulation,
+    _uint32_words,
     poisson_arrival_times,
     run,
     stream_rng,
@@ -137,6 +140,117 @@ class TestTraffic:
         c = stream_rng(3, "traffic/1/nrt").random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def chunked_arrival_times(rate, horizon, rng):
+    """The arrival instants as every chunk drawn whole: gaps of about 1.2 x
+    the expected count per chunk, each chunk's cumsum added to the last
+    instant before it, then every instant up to the horizon kept."""
+    if rate <= 0.0 or horizon <= 0.0:
+        return np.empty(0)
+    chunks = []
+    last = 0.0
+    while last <= horizon:
+        n = max(64, int(rate * (horizon - last) * 1.2) + 64)
+        gaps = rng.exponential(1.0 / rate, size=n)
+        chunk = last + np.cumsum(gaps)
+        chunks.append(chunk)
+        last = float(chunk[-1])
+    times = np.concatenate(chunks)
+    return times[times <= horizon]
+
+
+class ShrunkGaps:
+    """A Generator whose exponential draws, scalar or array, come from one
+    stream and are scaled by `factor`, so that a chunk of the expected size
+    ends short of the horizon. Counts its array draws."""
+
+    def __init__(self, seed, factor):
+        self.rng = stream_rng(seed, "shrunk")
+        self.factor = factor
+        self.array_draws = 0
+
+    def exponential(self, scale, size=None):
+        if size is not None:
+            self.array_draws += 1
+        return self.rng.exponential(scale, size) * self.factor
+
+
+class TestArrivalsMatchChunkedDraws:
+    @pytest.mark.parametrize(
+        "rate, horizon",
+        [(0.002, 100.0), (1.0, 2.0), (30.0, 2.0), (1000.0, 0.3), (3.0, 1e-3),
+         (0.0, 5.0), (5e-324, 2.0)],
+    )
+    def test_same_bytes(self, rate, horizon):
+        for seed in range(200):
+            label = f"traffic/{seed}/rt"
+            times = poisson_arrival_times(rate, horizon, stream_rng(seed, label))
+            expected = chunked_arrival_times(rate, horizon, stream_rng(seed, label))
+            assert times.dtype == expected.dtype
+            assert times.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("factor", [0.5, 0.1, 0.01])
+    def test_same_bytes_over_many_chunks(self, factor):
+        for seed in range(20):
+            rng = ShrunkGaps(seed, factor)
+            times = poisson_arrival_times(40.0, 5.0, rng)
+            expected = chunked_arrival_times(40.0, 5.0, ShrunkGaps(seed, factor))
+            assert rng.array_draws >= 2  # the first chunk fell short
+            assert times.tobytes() == expected.tobytes()
+
+    def test_scalar_and_array_draws_take_one_stream(self):
+        scalars = stream_rng(5, "x")
+        values = [scalars.exponential(0.25) for _ in range(100)]
+        assert np.array(values).tobytes() == (
+            stream_rng(5, "x").exponential(0.25, size=100).tobytes()
+        )
+
+
+class TestStreamSeeds:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("tag", [0, 12_345, 2**32 - 1, 2**40 + 3, 2**64 - 1])
+    def test_words_are_seed_sequence_words(self, seed, tag):
+        words = np.array(_uint32_words(seed) + _uint32_words(tag), dtype=np.uint32)
+        assert np.array_equal(
+            np.random.SeedSequence(words).pool,
+            np.random.SeedSequence([seed, tag]).pool,
+        )
+
+    def test_zero_is_one_word(self):
+        assert _uint32_words(0) == [0]
+        assert _uint32_words(2**32) == [0, 1]
+        with pytest.raises(ValueError):
+            _uint32_words(-1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_stream_is_the_seed_sequence_of_seed_and_tag(self, seed):
+        for label in ("placement", "traffic/3/rt", "loss/4/0"):
+            tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+            expected = np.random.default_rng(np.random.SeedSequence([seed, tag]))
+            assert stream_rng(seed, label).random(8).tobytes() == (
+                expected.random(8).tobytes()
+            )
+
+    def test_zero_rate_class_builds_no_stream(self, monkeypatch):
+        labels = Counter()
+        build = wsnqos.engine.stream_rng
+
+        def counted(seed, label):
+            labels[label] += 1
+            return build(seed, label)
+
+        monkeypatch.setattr(wsnqos.engine, "stream_rng", counted)
+        cfg = ScenarioConfig(node_count=12, grid_width=200.0, grid_height=200.0,
+                             rate_rt=5.0, rate_nrt=0.0, duration=2.0, seed=3)
+        sim = Simulation(cfg)
+        m = sim.run()
+        assert m.generated[TrafficClass.RT] > 0
+        assert m.generated[TrafficClass.NRT] == 0
+        assert labels == Counter(
+            ["placement"] + [f"traffic/{nid}/rt" for nid in cfg.source_ids()]
+        )
+        assert len(sim._arrivals) == 2 * len(cfg.source_ids())
 
 
 class TestLossAndPrr:
@@ -334,6 +448,79 @@ class TestNodeDeath:
         assert m.drop_count(DropCause.LINK_LOSS) == 0
         assert m.rx_by_node.keys() == {1}
         assert m.rx_by_node[1] == m.tx_by_link[(2, 1)] - 1
+
+def timeline_oracle(seed, cfg, m, delivered_at):
+    """timeline.csv rows with each row's delivered count found by bisecting
+    the sorted delivery times at the row's time."""
+    if cfg.duration <= 0.0:
+        points = [0.0]
+    else:
+        points = [
+            min((i + 1) * cfg.timeline_bucket, cfg.duration)
+            for i in range(cfg.timeline_bucket_count())
+        ]
+    times = sorted(delivered_at)
+    return [
+        [str(seed), cli._fnum(t), str(m.alive_at(t)), str(bisect_right(times, t))]
+        for t in points
+    ]
+
+
+class TestDeliveryRecords:
+    # 2.9 s in buckets of 2.9 / 9: nine rows, and the last row's time,
+    # 9 x bucket = 2.8999999999999995, falls short of the duration
+    SHORT = dict(duration=2.9, timeline_bucket=2.9 / 9)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            chain_cfg(duration=5.0),
+            chain_cfg(rate_rt=50.0, rate_nrt=50.0, **SHORT),
+            TestNodeDeath().death_cfg(),
+            two_node_cfg(rate_rt=30.0, duration=10.0, timeline_bucket=0.7),
+        ],
+        ids=["chain", "short_last_row", "death", "uneven_bucket"],
+    )
+    def test_timeline_matches_bisected_delivery_times(self, cfg):
+        m, packets = run_with_deliveries(Simulation(cfg))
+        assert len(packets) > 5
+        delivered_at = [p.hop_trace[-1][1] for p in packets]
+        assert cli.timeline_rows(cfg.seed, cfg, m) == timeline_oracle(
+            cfg.seed, cfg, m, delivered_at
+        )
+
+    def test_timeline_counts_each_delivery_at_its_row(self):
+        cfg = two_node_cfg(rate_rt=0.0, **self.SHORT)
+        points = cfg.timeline_points()
+        assert points[-1] < cfg.duration
+        delivered_at = [0.0, cfg.duration, math.nextafter(points[-1], math.inf)]
+        for t in points:
+            delivered_at += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        sim = Simulation(cfg)
+        for i, t in enumerate(delivered_at):
+            sim.now = t
+            sim._record_delivery(Packet(i, TrafficClass.RT, 1, 0.0, 1.0))
+        m = sim.metrics
+        # the deliveries after the last row's time count in no row
+        assert m.delivered_by_bucket[-1] == 3
+        assert cli.timeline_rows(cfg.seed, cfg, m) == timeline_oracle(
+            cfg.seed, cfg, m, delivered_at
+        )
+
+    def test_delay_samples_hold_8_bytes_each(self):
+        # one float64 per delivered packet; a list of Python floats would
+        # hold about 32 B each
+        sim = Simulation(two_node_cfg(rate_rt=1000.0, duration=20.0))
+        tracemalloc.start()
+        try:
+            m = sim.run()
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = sum(len(delays) for delays in m.delays.values())
+        assert samples == m.delivered_total() > 19_000
+        assert held / samples < 12.0
+
 
 
 class TestBufferOverflow:
