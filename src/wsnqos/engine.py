@@ -175,11 +175,11 @@ def stream_rng(master_seed: int, label: str) -> np.random.Generator:
 def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator):
     """Arrival instants of a Poisson process with the given rate on (0, horizon].
 
-    The gaps are drawn in chunks of about 1.2 x the expected count; each
-    chunk after the first starts from the last instant before it. The first
-    gap is drawn alone, so a stream with no arrival in the horizon costs one
-    draw; a Generator's scalar and array draws take the same values from its
-    stream, and cumsum adds in order, so the instants do not depend on it.
+    The gaps are drawn in chunks of about 1.2 x the expected count, each
+    chunk's cumsum added to the last instant before it. The first gap is
+    drawn alone, so a stream with no arrival in the horizon costs one draw;
+    a Generator's scalar and array draws take the same values from its
+    stream, so the instants do not depend on it.
     """
     if rate <= 0.0 or horizon <= 0.0:
         return np.empty(0)
@@ -188,22 +188,19 @@ def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator)
     if first > horizon:
         return np.empty(0)
     n = max(64, int(rate * horizon * 1.2) + 64)
-    times = np.empty(n)
-    times[0] = first
-    times[1:] = rng.exponential(scale, size=n - 1)
-    np.cumsum(times, out=times)
-    last = float(times[-1])
-    if last <= horizon:
-        chunks = [times]
-        while last <= horizon:
-            n = max(64, int(rate * (horizon - last) * 1.2) + 64)
-            chunk = last + np.cumsum(rng.exponential(scale, size=n))
-            chunks.append(chunk)
-            last = float(chunk[-1])
-        times = np.concatenate(chunks)
-    # the instants never decrease, so those up to the horizon are a prefix;
-    # copied, so a held stream does not keep its chunk's tail past the horizon
-    return times[: np.searchsorted(times, horizon, side="right")].copy()
+    gaps = np.concatenate(([first], rng.exponential(scale, size=n - 1)))
+    chunks = []
+    last = 0.0
+    while True:
+        chunk = last + np.cumsum(gaps)
+        chunks.append(chunk)
+        last = float(chunk[-1])
+        if last > horizon:
+            break
+        n = max(64, int(rate * (horizon - last) * 1.2) + 64)
+        gaps = rng.exponential(scale, size=n)
+    times = np.concatenate(chunks)
+    return times[times <= horizon]
 
 
 class Link:
@@ -308,13 +305,10 @@ class Simulation:
         rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
         for nid in sorted(self.source_set):
             for cls in TrafficClass:
-                # a class that never fires gets no generator; streams are
-                # keyed by label, so leaving one unbuilt moves no other
-                times = ()
-                if rates[cls] > 0.0:
-                    rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
-                    times = poisson_arrival_times(rates[cls], cfg.duration, rng)
-                self._arrivals[(nid, cls)] = map(float, times)
+                rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
+                self._arrivals[(nid, cls)] = map(
+                    float, poisson_arrival_times(rates[cls], cfg.duration, rng)
+                )
                 self._schedule_next_arrival(nid, cls)
 
     # -- setup ---------------------------------------------------------

@@ -327,14 +327,19 @@ numbers = st.one_of(
 )
 small_ids = st.integers(-1, 13).map(str)
 
+# Durations of 0, 5e-324 or 1e-6 to 0.05 s. A rate of 1e300 expects at most
+# 5e-24 arrivals per stream at the first two and is past the config's cap on
+# expected packets (1e294 per stream) at the rest; a duration in between
+# could let it through the cap with millions of arrivals.
+durations = st.one_of(st.floats(1e-6, 0.05), st.sampled_from([0.0, 5e-324]))
+
 # Keys whose accepted values set the size of a run: at most 12 nodes, 0.05 s
 # simulated, rate x duration <= 100 arrivals per stream and at most 50
-# timeline rows. A rate of 1e300 is past the config's cap on expected packets
-# at any duration that is not (nearly) zero.
+# timeline rows.
 BOUNDED = {
     "node_count": st.one_of(st.integers(-2, 12).map(str), st.sampled_from(INVALID)),
     "duration": st.one_of(
-        st.floats(0.0, 0.05).map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
+        durations.map(repr), st.sampled_from(INVALID + ["-0.0", "5e-324"])
     ),
     "rate.rt": st.one_of(
         st.floats(0.0, 2e3).map(repr),
@@ -369,7 +374,7 @@ FUZZED = {key: value_strategy(key, parse) for key, (_, parse) in _SCALAR_KEYS.it
 def scenario_text(draw):
     lines = [
         f"node_count = {draw(st.integers(2, 12))}",
-        f"duration = {draw(st.floats(0.0, 0.05))!r}",
+        f"duration = {draw(durations)!r}",
     ]
     for key in draw(st.lists(st.sampled_from(sorted(FUZZED)), max_size=4)):
         lines.append(f"{key} = {draw(FUZZED[key])}")

@@ -232,26 +232,6 @@ class TestStreamSeeds:
                 expected.random(8).tobytes()
             )
 
-    def test_zero_rate_class_builds_no_stream(self, monkeypatch):
-        labels = Counter()
-        build = wsnqos.engine.stream_rng
-
-        def counted(seed, label):
-            labels[label] += 1
-            return build(seed, label)
-
-        monkeypatch.setattr(wsnqos.engine, "stream_rng", counted)
-        cfg = ScenarioConfig(node_count=12, grid_width=200.0, grid_height=200.0,
-                             rate_rt=5.0, rate_nrt=0.0, duration=2.0, seed=3)
-        sim = Simulation(cfg)
-        m = sim.run()
-        assert m.generated[TrafficClass.RT] > 0
-        assert m.generated[TrafficClass.NRT] == 0
-        assert labels == Counter(
-            ["placement"] + [f"traffic/{nid}/rt" for nid in cfg.source_ids()]
-        )
-        assert len(sim._arrivals) == 2 * len(cfg.source_ids())
-
 
 class TestLossAndPrr:
     def test_lossless_link_always_arrives(self):
