@@ -448,12 +448,11 @@ class Simulation:
             node.wait_sum_nrt += wait
             node.waits_nrt += 1
         node.queues.in_service = packet
-        self._push(
-            self.now + self._x,
-            EventKind.TRANSMISSION_COMPLETE,
-            node.node_id,
-            packet=packet,
-            target=decision,
+        self._seq += 1
+        heapq.heappush(
+            self.heap,
+            (self.now + self._x, self._seq, EventKind.TRANSMISSION_COMPLETE,
+             node.node_id, None, packet, decision),
         )
         return True
 
@@ -483,8 +482,14 @@ class Simulation:
         counts every alive candidate and takes the smallest finite delay
         over all of them, whatever their cost; its hop estimate depends only
         on the sender and that count, so each node keeps it per count.
+
+        A candidate's two arrival rates and its link's PRR are read from the
+        fields behind RateEstimator.rate_at and LinkStats.prr, with those
+        methods' float operations in the same order, so the pass makes no
+        call per candidate.
         """
         now = self.now
+        exp = math.exp
         links = node.links
         x = self._x
         x2 = self._x2
@@ -501,8 +506,12 @@ class Simulation:
             if not st.alive:
                 continue
             alive += 1
-            lam1 = st.rate_rt.rate_at(now)
-            lam2 = st.rate_nrt.rate_at(now)
+            est = st.rate_rt
+            gap = now - est._last_arrival
+            lam1 = est._level if gap <= 0.0 else est._level * exp(-gap / est.tau)
+            est = st.rate_nrt
+            gap = now - est._last_arrival
+            lam2 = est._level if gap <= 0.0 else est._level * exp(-gap / est.tau)
             if lam1 < 0.0 or lam2 < 0.0:
                 raise ValueError(f"arrival rate must be >= 0, got {lam1}, {lam2}")
             rho1 = lam1 * x
@@ -523,7 +532,12 @@ class Simulation:
             battery = st.battery
             usable = (math.inf if battery is None else battery.level) - rx_cost
             link = links.get(st.node_id)
-            prr = 1.0 if link is None else link.stats.prr()
+            if link is None:
+                prr = 1.0
+            else:
+                stats = link.stats
+                sent = len(stats._outcomes)
+                prr = stats._received / sent if sent else 1.0
             if usable <= 0.0 or prr <= 0.0:
                 continue
             cost = alpha * delay + beta / usable + gamma / prr
@@ -587,7 +601,12 @@ class Simulation:
             self._drop(packet, DropCause.EXPIRED)
             return
         packet.hop_trace.append((target_id, self.now))
-        self._arrive(target, packet)
+        # _arrive's first case, taken here without the call
+        queues = target.queues
+        if queues.in_service is None and not queues.rt and not queues.nrt:
+            self._serve(target, packet)
+        else:
+            self._arrive(target, packet)
 
     def _record_delivery(self, packet: Packet) -> None:
         m = self.metrics

@@ -170,13 +170,19 @@ class Topology:
         r = self.radio_range
         cell = self._cell
         cells = self._cells
+        # the same distance(p, sink) floats the predicate computes, so a
+        # candidate farther from the sink is settled without calling it
+        sink_dist = self._sink_dist
+        limit = sink_dist[sender]
         ys = _cell_span(sender_pos.y / cell)
         found = []
         for cx in _cell_span(sender_pos.x / cell):
             for cy in ys:
                 for nid, pos in cells.get((cx, cy), ()):
-                    if nid != sender and is_allowed_neighbor(
-                        sender_pos, pos, sink_pos, r
+                    if (
+                        nid != sender
+                        and sink_dist[nid] <= limit
+                        and is_allowed_neighbor(sender_pos, pos, sink_pos, r)
                     ):
                         found.append(nid)
         found.sort()

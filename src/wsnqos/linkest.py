@@ -39,7 +39,10 @@ class LinkStats:
             self._received += 1
 
     def prr(self) -> float:
-        """Reception ratio in [0, 1]; 1.0 for a never-used link."""
+        """Reception ratio in [0, 1]; 1.0 for a never-used link.
+
+        Simulation._route reads these fields inline with the same operations.
+        """
         if not self._outcomes:
             return 1.0
         return self._received / len(self._outcomes)

@@ -121,7 +121,10 @@ class RateEstimator:
         self._level += 1.0 / self.tau
 
     def rate_at(self, now: float) -> float:
-        """Estimated arrival rate as seen at time `now` (>= last arrival)."""
+        """Estimated arrival rate as seen at time `now` (>= last arrival).
+
+        Simulation._route reads these fields inline with the same operations.
+        """
         gap = now - self._last_arrival
         if gap <= 0.0:
             return self._level

@@ -31,7 +31,7 @@ from wsnqos.engine import (
 )
 from wsnqos.geometry import delta, distance, hops_linear
 from wsnqos.linkest import LinkStats
-from wsnqos.node import Packet, TrafficClass, classify_enqueue
+from wsnqos.node import Packet, RateEstimator, TrafficClass, classify_enqueue
 from wsnqos.queueing import ClassLoad, QueueModelParams
 from wsnqos.routing import (
     NeighborView,
@@ -554,13 +554,29 @@ class QueueEveryArrival(Simulation):
     """Oracle for the arrival rule: every arriving packet joins its class
     queue, and an idle node then drains its queues. Serving a packet at
     once when it reaches an idle node with empty queues must give the same
-    run."""
+    run. The engine's delivery step serves a relayed packet itself when
+    its target is idle with empty queues; here that packet is queued too."""
+
+    draining = False
 
     def _arrive(self, node, packet):
         if not classify_enqueue(node.queues, packet):
             self._drop(packet, DropCause.BUFFER_OVERFLOW)
         elif node.queues.in_service is None:
             self._try_start_service(node)
+
+    def _try_start_service(self, node):
+        self.draining = True
+        try:
+            super()._try_start_service(node)
+        finally:
+            self.draining = False
+
+    def _serve(self, node, packet):
+        if self.draining:
+            return super()._serve(node, packet)
+        self._arrive(node, packet)
+        return True
 
 
 def queued_rt_at_idle_sensor(sim):
@@ -675,14 +691,13 @@ class TestArrivalRule:
             assert times[2] - times[1] == pytest.approx(SERVICE, abs=1e-12)
 
 
-class FixedRate:
-    """Stands in for a RateEstimator whose reading is set by the test."""
-
-    def __init__(self, rate):
-        self.rate = rate
-
-    def rate_at(self, now):
-        return self.rate
+def fixed_rate(sim, rate):
+    """A RateEstimator whose reading at sim.now is exactly `rate`: its level
+    is the rate and its last arrival is now."""
+    est = RateEstimator(sim.cfg.rate_tau)
+    est._level = rate
+    est._last_arrival = sim.now
+    return est
 
 
 def reference_route(sim, node, packet):
@@ -790,8 +805,8 @@ class TestRouteMatchesReference:
             states[b] = states[a][:4] + (states[b][4],)
         for nid, (lam1, lam2, residual, outcomes, alive) in states.items():
             st = sim.nodes[nid]
-            st.rate_rt = FixedRate(lam1)
-            st.rate_nrt = FixedRate(lam2)
+            st.rate_rt = fixed_rate(sim, lam1)
+            st.rate_nrt = fixed_rate(sim, lam2)
             if st.battery is not None:
                 st.battery = Battery(residual)
             st.alive = alive
@@ -808,8 +823,8 @@ class TestRouteMatchesReference:
             sim = self.sim(include_service_time=include_service_time)
             node = sim.nodes[self.SENDER]
             for i in range(800):
-                self.randomize(sim, rng)
                 sim.now = rng.uniform(0.0, 10.0)
+                self.randomize(sim, rng)
                 cls = rng.choice(list(TrafficClass))
                 packet = Packet(
                     i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
@@ -837,10 +852,88 @@ class TestRouteMatchesReference:
         ):
             assert seen[case] >= 20, (case, seen)
 
+    def randomize_history(self, sim, rng):
+        """Random neighbor state reached through the estimators' and links'
+        own updates: arrivals observed before now (so a reading decays
+        through exp), now and then one at now itself (a zero gap), and
+        links never built, built with an empty window, partly filled or
+        full and evicting."""
+        sender = sim.nodes[self.SENDER]
+        sender.links.clear()
+        tau = sim.cfg.rate_tau
+        window = sim.cfg.prr_window
+        rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
+        for st in sender.allowed:
+            for attr in ("rate_rt", "rate_nrt"):
+                est = RateEstimator(tau)
+                # within a few tau of now, so some readings pass capacity
+                span = rng.choice([tau, 5.0 * tau, 100.0 * tau])
+                times = sorted(
+                    max(0.0, sim.now - rng.uniform(0.0, span))
+                    for _ in range(rng.randint(0, 40))
+                )
+                if rng.random() < 0.2:
+                    times.append(sim.now)
+                for t in times:
+                    est.observe(t)
+                setattr(st, attr, est)
+            if st.battery is not None:
+                st.battery = Battery(rng.choice([rx_cost * 0.5, rng.uniform(1e-5, 2.0)]))
+            st.alive = st.node_id == SINK_ID or rng.random() >= 0.15
+            sends = rng.choice([None, 0, rng.randint(1, window - 1),
+                                rng.randint(window, 3 * window)])
+            if sends is not None:
+                link = sim._new_link(sender, st)
+                quality = rng.choice([0.0, rng.random(), 1.0])
+                for _ in range(sends):
+                    link.stats.record_outcome(rng.random() < quality)
+
+    def test_decayed_rates_and_prr_windows_match_exactly(self):
+        # _route reads the estimators' and links' fields inline; each
+        # candidate's reading must equal rate_at() and prr()
+        rng = random.Random(977)
+        seen = Counter()
+        for include_service_time in (True, False):
+            sim = self.sim(include_service_time=include_service_time,
+                           rate_tau=0.01, prr_window=8)
+            node = sim.nodes[self.SENDER]
+            for i in range(600):
+                sim.now = rng.uniform(0.0, 10.0)
+                self.randomize_history(sim, rng)
+                cls = rng.choice(list(TrafficClass))
+                packet = Packet(
+                    i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
+                )
+                expected, table = reference_route(sim, node, packet)
+                assert sim._route(node, packet) == expected
+                seen[expected if isinstance(expected, DropCause) else "hop"] += 1
+                seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
+                for st in node.allowed:
+                    if not st.alive:
+                        continue
+                    for est in (st.rate_rt, st.rate_nrt):
+                        if est._last_arrival == sim.now:
+                            seen["gap = 0"] += 1
+                        elif est._level > 0.0:
+                            seen["decayed"] += 1
+                    link = node.links.get(st.node_id)
+                    if link is None:
+                        seen["no link"] += 1
+                    else:
+                        sent = link.stats.sent_count
+                        seen["empty window" if sent == 0 else
+                             "full window" if sent == sim.cfg.prr_window else
+                             "partial window"] += 1
+        for case in (
+            "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, "unstable", "gap = 0",
+            "decayed", "no link", "empty window", "partial window", "full window",
+        ):
+            assert seen[case] >= 20, (case, seen)
+
     def test_negative_arrival_rate_is_an_error(self):
         for estimator in ("rate_rt", "rate_nrt"):
             sim = self.sim()
-            setattr(sim.nodes[2], estimator, FixedRate(-1.0))
+            getattr(sim.nodes[2], estimator)._level = -1.0
             packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
             with pytest.raises(ValueError, match="arrival rate"):
                 sim._route(sim.nodes[self.SENDER], packet)
