@@ -889,8 +889,8 @@ class TestRouteMatchesReference:
                     link.stats.record_outcome(rng.random() < quality)
 
     def test_decayed_rates_and_prr_windows_match_exactly(self):
-        # _route reads the estimators' and links' fields inline; each
-        # candidate's reading must equal rate_at() and prr()
+        # _route reads the estimators' and links' fields inline; it must
+        # decide as reference_route does, which calls rate_at() and prr()
         rng = random.Random(977)
         seen = Counter()
         for include_service_time in (True, False):
