@@ -448,11 +448,12 @@ class Simulation:
             node.wait_sum_nrt += wait
             node.waits_nrt += 1
         node.queues.in_service = packet
-        self._seq += 1
-        heapq.heappush(
-            self.heap,
-            (self.now + self._x, self._seq, EventKind.TRANSMISSION_COMPLETE,
-             node.node_id, None, packet, decision),
+        self._push(
+            self.now + self._x,
+            EventKind.TRANSMISSION_COMPLETE,
+            node.node_id,
+            packet=packet,
+            target=decision,
         )
         return True
 
@@ -483,10 +484,10 @@ class Simulation:
         over all of them, whatever their cost; its hop estimate depends only
         on the sender and that count, so each node keeps it per count.
 
-        A candidate's two arrival rates and its link's PRR are read from the
-        fields behind RateEstimator.rate_at and LinkStats.prr, with those
-        methods' float operations in the same order, so the pass makes no
-        call per candidate.
+        The pass makes no call per candidate. Its two arrival rates repeat
+        RateEstimator.rate_at on the estimator's fields, with the same float
+        operations in the same order, and its PRR is LinkStats.ratio, the
+        value LinkStats.prr returns.
         """
         now = self.now
         exp = math.exp
@@ -507,11 +508,11 @@ class Simulation:
                 continue
             alive += 1
             est = st.rate_rt
-            gap = now - est._last_arrival
-            lam1 = est._level if gap <= 0.0 else est._level * exp(-gap / est.tau)
+            gap = now - est.last_arrival
+            lam1 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
             est = st.rate_nrt
-            gap = now - est._last_arrival
-            lam2 = est._level if gap <= 0.0 else est._level * exp(-gap / est.tau)
+            gap = now - est.last_arrival
+            lam2 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
             if lam1 < 0.0 or lam2 < 0.0:
                 raise ValueError(f"arrival rate must be >= 0, got {lam1}, {lam2}")
             rho1 = lam1 * x
@@ -532,12 +533,7 @@ class Simulation:
             battery = st.battery
             usable = (math.inf if battery is None else battery.level) - rx_cost
             link = links.get(st.node_id)
-            if link is None:
-                prr = 1.0
-            else:
-                stats = link.stats
-                sent = len(stats._outcomes)
-                prr = stats._received / sent if sent else 1.0
+            prr = 1.0 if link is None else link.stats.ratio
             if usable <= 0.0 or prr <= 0.0:
                 continue
             cost = alpha * delay + beta / usable + gamma / prr
@@ -601,12 +597,7 @@ class Simulation:
             self._drop(packet, DropCause.EXPIRED)
             return
         packet.hop_trace.append((target_id, self.now))
-        # _arrive's first case, taken here without the call
-        queues = target.queues
-        if queues.in_service is None and not queues.rt and not queues.nrt:
-            self._serve(target, packet)
-        else:
-            self._arrive(target, packet)
+        self._arrive(target, packet)
 
     def _record_delivery(self, packet: Packet) -> None:
         m = self.metrics

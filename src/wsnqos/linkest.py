@@ -12,7 +12,11 @@ from collections import deque
 
 
 class LinkStats:
-    """Ring of the most recent send outcomes on one directed link."""
+    """Ring of the most recent send outcomes on one directed link.
+
+    `ratio` is the current PRR, kept up to date by record_outcome; prr()
+    returns it, and Simulation._route reads the field directly.
+    """
 
     def __init__(self, window: int = 100):
         if window < 1:
@@ -20,6 +24,7 @@ class LinkStats:
         self.window = window
         self._outcomes: deque[bool] = deque()
         self._received = 0
+        self.ratio = 1.0
 
     @property
     def sent_count(self) -> int:
@@ -37,15 +42,11 @@ class LinkStats:
         self._outcomes.append(delivered)
         if delivered:
             self._received += 1
+        self.ratio = self._received / len(self._outcomes)
 
     def prr(self) -> float:
-        """Reception ratio in [0, 1]; 1.0 for a never-used link.
-
-        Simulation._route reads these fields inline with the same operations.
-        """
-        if not self._outcomes:
-            return 1.0
-        return self._received / len(self._outcomes)
+        """Reception ratio in [0, 1]; 1.0 for a never-used link."""
+        return self.ratio
 
     def __repr__(self) -> str:
         return (

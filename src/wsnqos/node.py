@@ -102,6 +102,11 @@ class RateEstimator:
     is unbiased under bursty arrivals (relayed traffic leaves upstream nodes
     back-to-back) and decays toward zero when a stream goes quiet instead of
     freezing at its last value.
+
+    Simulation._route repeats rate_at on `level`, `last_arrival` and `tau`
+    inline, with the same float operations in the same order;
+    tests/test_engine.py::test_decayed_rates_and_prr_windows_match_exactly
+    keeps the two in step.
     """
 
     def __init__(self, tau: float = 1.0):
@@ -110,22 +115,19 @@ class RateEstimator:
         if not math.isfinite(1.0 / tau):
             raise ValueError(f"1 / tau must be finite, got tau = {tau!r}")
         self.tau = tau
-        self._level = 0.0
-        self._last_arrival = 0.0
+        self.level = 0.0
+        self.last_arrival = 0.0
 
     def observe(self, now: float) -> None:
-        gap = now - self._last_arrival
+        gap = now - self.last_arrival
         if gap > 0.0:
-            self._level *= math.exp(-gap / self.tau)
-            self._last_arrival = now
-        self._level += 1.0 / self.tau
+            self.level *= math.exp(-gap / self.tau)
+            self.last_arrival = now
+        self.level += 1.0 / self.tau
 
     def rate_at(self, now: float) -> float:
-        """Estimated arrival rate as seen at time `now` (>= last arrival).
-
-        Simulation._route reads these fields inline with the same operations.
-        """
-        gap = now - self._last_arrival
+        """Estimated arrival rate as seen at time `now` (>= last arrival)."""
+        gap = now - self.last_arrival
         if gap <= 0.0:
-            return self._level
-        return self._level * math.exp(-gap / self.tau)
+            return self.level
+        return self.level * math.exp(-gap / self.tau)

@@ -554,29 +554,13 @@ class QueueEveryArrival(Simulation):
     """Oracle for the arrival rule: every arriving packet joins its class
     queue, and an idle node then drains its queues. Serving a packet at
     once when it reaches an idle node with empty queues must give the same
-    run. The engine's delivery step serves a relayed packet itself when
-    its target is idle with empty queues; here that packet is queued too."""
-
-    draining = False
+    run."""
 
     def _arrive(self, node, packet):
         if not classify_enqueue(node.queues, packet):
             self._drop(packet, DropCause.BUFFER_OVERFLOW)
         elif node.queues.in_service is None:
             self._try_start_service(node)
-
-    def _try_start_service(self, node):
-        self.draining = True
-        try:
-            super()._try_start_service(node)
-        finally:
-            self.draining = False
-
-    def _serve(self, node, packet):
-        if self.draining:
-            return super()._serve(node, packet)
-        self._arrive(node, packet)
-        return True
 
 
 def queued_rt_at_idle_sensor(sim):
@@ -695,8 +679,8 @@ def fixed_rate(sim, rate):
     """A RateEstimator whose reading at sim.now is exactly `rate`: its level
     is the rate and its last arrival is now."""
     est = RateEstimator(sim.cfg.rate_tau)
-    est._level = rate
-    est._last_arrival = sim.now
+    est.level = rate
+    est.last_arrival = sim.now
     return est
 
 
@@ -912,9 +896,9 @@ class TestRouteMatchesReference:
                     if not st.alive:
                         continue
                     for est in (st.rate_rt, st.rate_nrt):
-                        if est._last_arrival == sim.now:
+                        if est.last_arrival == sim.now:
                             seen["gap = 0"] += 1
-                        elif est._level > 0.0:
+                        elif est.level > 0.0:
                             seen["decayed"] += 1
                     link = node.links.get(st.node_id)
                     if link is None:
@@ -933,7 +917,7 @@ class TestRouteMatchesReference:
     def test_negative_arrival_rate_is_an_error(self):
         for estimator in ("rate_rt", "rate_nrt"):
             sim = self.sim()
-            getattr(sim.nodes[2], estimator)._level = -1.0
+            getattr(sim.nodes[2], estimator).level = -1.0
             packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
             with pytest.raises(ValueError, match="arrival rate"):
                 sim._route(sim.nodes[self.SENDER], packet)
