@@ -20,13 +20,14 @@ import hashlib
 import heapq
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import routing
 from .config import SINK_ID, ScenarioConfig
@@ -140,8 +141,9 @@ class Metrics:
         return self.wait_sum[(node, cls)] / count
 
     def alive_at(self, t: float) -> int:
-        """Sensor nodes still alive at time t."""
-        return self.sensor_count - sum(1 for when, _nid in self.deaths if when <= t)
+        """Sensor nodes still alive at time t. Deaths are appended in time
+        order, so those at or before t are a prefix of the list."""
+        return self.sensor_count - bisect_right(self.deaths, t, key=lambda d: d[0])
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -170,6 +172,101 @@ def stream_rng(master_seed: int, label: str) -> np.random.Generator:
     words = _uint32_words(master_seed) + _uint32_words(tag)
     entropy = np.array(words, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# numpy's SeedSequence: pool size in uint32 words and hash constants
+# (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _pcg64_seed_words(entropy: np.ndarray) -> np.ndarray:
+    """Row i of the result is np.random.SeedSequence(entropy[i])
+    .generate_state(4, np.uint64), the words PCG64 seeds itself from.
+
+    entropy is a (K, n) uint32 array, n <= 4. SeedSequence hashes a pool
+    word past the end of its entropy as 0, so a row's trailing zero words
+    change nothing. This is SeedSequence's mix_entropy and generate_state
+    run over all K rows at once; the hash constants advance the same way
+    for every row, so they stay Python ints.
+    """
+    rows, n = entropy.shape
+    if n > _POOL_SIZE:
+        raise ValueError(f"entropy of {n} words exceeds the pool of {_POOL_SIZE}")
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        result ^= result >> 16
+        return result
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = np.empty((rows, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        state[:, i] = value
+    # each uint64 is two uint32 words, low word first, on any host
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the seed words _pcg64_seed_words made for one stream."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"holds 4 uint64 seed words, not {n_words} of {np.dtype(dtype)}"
+            )
+        return self.words
+
+
+def stream_rngs(
+    master_seed: int, labels: Iterable[str]
+) -> Iterator[np.random.Generator]:
+    """Yields stream_rng(master_seed, label) for each label, in order.
+
+    The first next() hashes every label and mixes every seed in one pass,
+    so each stream then costs its PCG64 alone. Each row of entropy is the
+    seed's words, then the tag's low and high words: a tag under 2**32 has
+    one word in stream_rng, and its high word 0 here is the padding
+    SeedSequence would hash anyway. The generators are built one at a time,
+    so a caller that draws from each and drops it holds one at a time.
+    """
+    digests = b"".join(hashlib.sha256(label.encode()).digest()[:8] for label in labels)
+    tags = np.frombuffer(digests, dtype=">u8")
+    seed_words = _uint32_words(master_seed)
+    entropy = np.zeros((len(tags), len(seed_words) + 2), dtype=np.uint32)
+    entropy[:, : len(seed_words)] = seed_words
+    entropy[:, -2] = tags & _MASK32
+    entropy[:, -1] = tags >> 32
+    for words in _pcg64_seed_words(entropy):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator):
@@ -303,11 +400,16 @@ class Simulation:
         # the float64 array (8 B per arrival; a list would hold about 32)
         self._arrivals: dict[tuple[int, TrafficClass], Iterator[float]] = {}
         rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
-        for nid in sorted(self.source_set):
+        # one generator per stream, in the order of the loop below; built
+        # and dropped one at a time, so set-up holds no list of them
+        sources = sorted(self.source_set)
+        rngs = stream_rngs(cfg.seed, (
+            f"traffic/{nid}/{cls.value}" for nid in sources for cls in TrafficClass
+        ))
+        for nid in sources:
             for cls in TrafficClass:
-                rng = stream_rng(cfg.seed, f"traffic/{nid}/{cls.value}")
                 self._arrivals[(nid, cls)] = map(
-                    float, poisson_arrival_times(rates[cls], cfg.duration, rng)
+                    float, poisson_arrival_times(rates[cls], cfg.duration, next(rngs))
                 )
                 self._schedule_next_arrival(nid, cls)
 
@@ -315,12 +417,14 @@ class Simulation:
 
     def _place_nodes(self) -> Topology:
         cfg = self.cfg
-        rng = stream_rng(cfg.seed, "placement")
+        rng = None  # built on the first unpinned sensor
         positions = {SINK_ID: Position(cfg.sink_x, cfg.sink_y)}
         for nid in range(1, cfg.node_count):
             if nid in cfg.positions:
                 x, y = cfg.positions[nid]
             else:
+                if rng is None:
+                    rng = stream_rng(cfg.seed, "placement")
                 x = rng.uniform(0.0, cfg.grid_width)
                 y = rng.uniform(0.0, cfg.grid_height)
             positions[nid] = Position(x, y)

@@ -21,13 +21,17 @@ import wsnqos
 from wsnqos import cli
 from wsnqos.config import SINK_ID, ScenarioConfig, parse_config
 from wsnqos.energy import Battery, rx_energy, tx_energy
+from wsnqos import engine
 from wsnqos.engine import (
     DropCause,
     Simulation,
+    _pcg64_seed_words,
+    _SeedWords,
     _uint32_words,
     poisson_arrival_times,
     run,
     stream_rng,
+    stream_rngs,
 )
 from wsnqos.geometry import delta, distance, hops_linear
 from wsnqos.linkest import LinkStats
@@ -232,6 +236,85 @@ class TestStreamSeeds:
                 expected.random(8).tobytes()
             )
 
+    # the batch against numpy's SeedSequence, word by word; a tag under
+    # 2**32 is one word, a case no SHA-256 label reaches
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("tag", [0, 2**32 - 1, 2**64 - 1])
+    def test_batched_words_are_seed_sequence_words(self, seed, tag):
+        words = _uint32_words(seed) + _uint32_words(tag)
+        rows = [words[:n] for n in range(1, len(words) + 1)]
+        padded = np.array([row + [0] * (4 - len(row)) for row in rows], np.uint32)
+        expected = [
+            np.random.SeedSequence(np.array(row, np.uint32))
+            .generate_state(4, np.uint64)
+            for row in rows
+        ]
+        assert np.array_equal(_pcg64_seed_words(padded), np.array(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_words_pad_short_entropy(self, n):
+        entropy = np.random.default_rng(n).integers(
+            0, 2**32, size=(50, n), dtype=np.uint32
+        )
+        got = _pcg64_seed_words(entropy)
+        assert got.shape == (50, 4) and got.dtype == np.uint64
+        for row, words in zip(entropy, got, strict=True):
+            assert np.array_equal(
+                words, np.random.SeedSequence(row).generate_state(4, np.uint64)
+            )
+
+    def test_more_than_four_words_is_an_error(self):
+        with pytest.raises(ValueError):
+            _pcg64_seed_words(np.zeros((3, 5), dtype=np.uint32))
+        with pytest.raises(ValueError):
+            next(stream_rngs(2**64, ["traffic/1/rt"]))  # three seed words + two
+
+    def test_seed_words_answer_only_pcg64s_request(self):
+        words = np.arange(4, dtype=np.uint64)
+        seq = _SeedWords(words)
+        assert seq.generate_state(4, np.uint64) is words
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint32)):
+            with pytest.raises(ValueError):
+                seq.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 2_400])
+    def test_batch_is_stream_rng_per_label(self, seed, count):
+        labels = ["placement", "loss/4/0"] + [
+            f"traffic/{nid}/{cls}" for nid in range(1, 1200) for cls in ("rt", "nrt")
+        ]
+        labels = labels[:count]
+        rngs = list(stream_rngs(seed, labels))
+        assert len(rngs) == count
+        for label, rng in zip(labels, rngs, strict=True):
+            expected = stream_rng(seed, label)
+            assert rng.bit_generator.state == expected.bit_generator.state
+        if rngs:
+            assert rngs[-1].random(8).tobytes() == (
+                stream_rng(seed, labels[-1]).random(8).tobytes()
+            )
+
+    def test_placement_stream_only_for_unpinned_sensors(self, monkeypatch):
+        built = []
+
+        def recording(master_seed, label):
+            built.append(label)
+            return stream_rng(master_seed, label)
+
+        monkeypatch.setattr(engine, "stream_rng", recording)
+        pinned = {1: (550.0, 500.0), 2: (600.0, 500.0)}
+        Simulation(ScenarioConfig(node_count=3, positions=pinned, duration=1.0))
+        assert "placement" not in built
+        # one unpinned sensor draws the placement stream's first two values
+        sim = Simulation(
+            ScenarioConfig(node_count=3, positions={2: pinned[2]}, duration=1.0, seed=9)
+        )
+        assert built.count("placement") == 1
+        rng = stream_rng(9, "placement")
+        x = rng.uniform(0.0, sim.cfg.grid_width)
+        y = rng.uniform(0.0, sim.cfg.grid_height)
+        assert (sim.topology.positions[1].x, sim.topology.positions[1].y) == (x, y)
+
 
 class TestLossAndPrr:
     def test_lossless_link_always_arrives(self):
@@ -407,6 +490,16 @@ class TestNodeDeath:
         t_death = m.first_death_time
         assert m.alive_at(t_death / 2) == 1
         assert m.alive_at(t_death) == 0
+
+    def test_alive_at_matches_a_linear_count(self):
+        m = run(parse_config(GOLDEN_SCENARIOS["battery_death"][0]))
+        times = [when for when, _nid in m.deaths]
+        assert len(times) > 5 and times == sorted(times)
+        for when in [0.0, m.end_time] + times:
+            for t in (math.nextafter(when, -math.inf), when,
+                      math.nextafter(when, math.inf)):
+                linear = m.sensor_count - sum(1 for d in times if d <= t)
+                assert m.alive_at(t) == linear
 
     def test_relay_killed_by_a_receive_counts_the_send_only(self):
         # relay 1 is node 2's only way to the sink; at this seed the relay's
