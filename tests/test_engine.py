@@ -18,10 +18,9 @@ from conftest import run_with_deliveries
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 import wsnqos
-from wsnqos import cli
+from wsnqos import cli, engine
 from wsnqos.config import SINK_ID, ScenarioConfig, parse_config
 from wsnqos.energy import Battery, rx_energy, tx_energy
-from wsnqos import engine
 from wsnqos.engine import (
     DropCause,
     Simulation,
