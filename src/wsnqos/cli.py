@@ -28,21 +28,12 @@ from .node import TrafficClass
 METRICS_COLUMNS = [
     "seed",
     "generated",
-    "delivered_rt",
-    "delivered_nrt",
-    "drop_expired",
-    "drop_predictive",
-    "drop_no_route",
-    "drop_buffer_overflow",
-    "drop_node_death",
-    "drop_link_loss",
+    *(f"delivered_{cls.value}" for cls in TrafficClass),
+    *(f"drop_{cause.value}" for cause in DropCause),
     "in_flight",
-    "delay_rt_mean",
-    "delay_rt_p95",
-    "delay_rt_max",
-    "delay_nrt_mean",
-    "delay_nrt_p95",
-    "delay_nrt_max",
+    # in the order Metrics.delay_stats gives them
+    *(f"delay_{cls.value}_{stat}" for cls in TrafficClass
+      for stat in ("mean", "p95", "max")),
     "energy_consumed_j",
     "first_death_s",
 ]
@@ -55,27 +46,15 @@ def _fnum(x: float) -> str:
 
 
 def metrics_row(seed: int, m: Metrics) -> list[str]:
-    rt_mean, rt_p95, rt_max = m.delay_stats(TrafficClass.RT)
-    nrt_mean, nrt_p95, nrt_max = m.delay_stats(TrafficClass.NRT)
+    delivered = m.delivered
     first_death = m.first_death_time if m.first_death_time is not None else math.nan
     return [
         str(seed),
         str(m.generated_total()),
-        str(m.delivered[TrafficClass.RT]),
-        str(m.delivered[TrafficClass.NRT]),
-        str(m.drop_count(DropCause.EXPIRED)),
-        str(m.drop_count(DropCause.PREDICTIVE)),
-        str(m.drop_count(DropCause.NO_ROUTE)),
-        str(m.drop_count(DropCause.BUFFER_OVERFLOW)),
-        str(m.drop_count(DropCause.NODE_DEATH)),
-        str(m.drop_count(DropCause.LINK_LOSS)),
+        *(str(delivered[cls]) for cls in TrafficClass),
+        *(str(m.drop_count(cause)) for cause in DropCause),
         str(m.in_flight),
-        _fnum(rt_mean),
-        _fnum(rt_p95),
-        _fnum(rt_max),
-        _fnum(nrt_mean),
-        _fnum(nrt_p95),
-        _fnum(nrt_max),
+        *(_fnum(v) for cls in TrafficClass for v in m.delay_stats(cls)),
         _fnum(m.total_energy),
         _fnum(first_death),
     ]
@@ -113,10 +92,11 @@ def summarize(seed: int, m: Metrics) -> str:
     death = (
         f"{m.first_death_time:.3f} s" if m.first_death_time is not None else "none"
     )
+    delivered = m.delivered
     return (
         f"seed {seed}: generated {m.generated_total()}, "
         f"delivered {m.delivered_total()} "
-        f"(rt {m.delivered[TrafficClass.RT]}, nrt {m.delivered[TrafficClass.NRT]}), "
+        f"(rt {delivered[TrafficClass.RT]}, nrt {delivered[TrafficClass.NRT]}), "
         f"in flight {m.in_flight}\n"
         f"  drops: {drops or 'none'}\n"
         f"  mean delay: rt {rt_mean * 1e3:.3f} ms, nrt {nrt_mean * 1e3:.3f} ms\n"

@@ -11,7 +11,8 @@ bit-identical results and changing one stream never perturbs the others.
 Idealizations, chosen to isolate the routing behavior under test: zero
 propagation delay, ground-truth per-packet delivery feedback to the sender
 (a free link-layer acknowledgment), senders read neighbors' current queue
-and energy state at zero message cost, and the sink is mains-powered.
+and energy state at zero message cost, and the sink is mains-powered: its
+battery holds infinite charge and never drains.
 """
 
 from __future__ import annotations
@@ -76,10 +77,13 @@ class DropCause(Enum):
 class Metrics:
     """Counters and samples accumulated over one run.
 
-    The per-node and per-link tallies (wait_sum, wait_count, tx_by_node,
-    rx_by_node, tx_by_link) are kept on the run's node and link records
-    and filled in by Simulation._finalize, so they read empty until run()
-    returns. A key appears only when its count is nonzero.
+    The per-node and per-link tallies (wait_sum, wait_count, rx_by_node,
+    tx_by_link) are kept on the run's node and link records and filled in
+    by Simulation._finalize, so they read empty until run() returns. A key
+    appears only when its count is nonzero. delivered and tx_by_node are
+    read from the delay samples and tx_by_link, each time they are read.
+    energy_by_node and residual_by_node hold the sensors only: the sink is
+    mains-powered, its battery infinite.
 
     Each end-to-end delay is kept, 8 B per sample, for an exact p95.
     delivered_by_bucket[i] counts the deliveries after timeline point i - 1
@@ -88,7 +92,6 @@ class Metrics:
     """
 
     generated: Counter = field(default_factory=Counter)  # cls -> n
-    delivered: Counter = field(default_factory=Counter)  # cls -> n
     drops: Counter = field(default_factory=Counter)  # (cause, cls) -> n
     delays: dict = field(
         default_factory=lambda: {
@@ -98,7 +101,6 @@ class Metrics:
     delivered_by_bucket: list[int] = field(default_factory=list)
     wait_sum: defaultdict = field(default_factory=lambda: defaultdict(float))
     wait_count: Counter = field(default_factory=Counter)  # (node, cls) -> n
-    tx_by_node: Counter = field(default_factory=Counter)
     rx_by_node: Counter = field(default_factory=Counter)
     tx_by_link: Counter = field(default_factory=Counter)  # (from, to) -> n
     total_energy: float = 0.0
@@ -109,11 +111,24 @@ class Metrics:
     end_time: float = 0.0
     sensor_count: int = 0
 
+    @property
+    def delivered(self) -> Counter:
+        """cls -> deliveries: one per delay sample."""
+        return Counter({cls: len(d) for cls, d in self.delays.items() if d})
+
+    @property
+    def tx_by_node(self) -> Counter:
+        """node -> sends, summed over its links in tx_by_link."""
+        sent = Counter()
+        for (u, _v), n in self.tx_by_link.items():
+            sent[u] += n
+        return sent
+
     def generated_total(self) -> int:
         return sum(self.generated.values())
 
     def delivered_total(self) -> int:
-        return sum(self.delivered.values())
+        return sum(len(d) for d in self.delays.values())
 
     def drops_total(self) -> int:
         return sum(self.drops.values())
@@ -320,14 +335,13 @@ class Link:
 @dataclass
 class NodeState:
     node_id: int
-    position: Position
-    battery: Battery | None  # None: mains-powered (the sink)
+    # the node is alive while its battery is; the sink's never drains
+    battery: Battery
     queues: NodeQueues
     # one arrival-rate estimate per class, as two fields so the hot path
     # reaches them without hashing a TrafficClass
     rate_rt: RateEstimator
     rate_nrt: RateEstimator
-    alive: bool = True
     # target id -> Link, for the targets this node has sent to
     links: dict[int, Link] = field(default_factory=dict)
     # the allowed neighbors' states in ascending id order (empty for the
@@ -376,11 +390,10 @@ class Simulation:
         self.topology = self._place_nodes()
         self.sink_position = self.topology.positions[SINK_ID]
         self.nodes: dict[int, NodeState] = {}
-        for nid, pos in self.topology.positions.items():
+        for nid in self.topology.positions:
             self.nodes[nid] = NodeState(
                 node_id=nid,
-                position=pos,
-                battery=None if nid == SINK_ID else Battery(cfg.initial_energy),
+                battery=Battery(math.inf if nid == SINK_ID else cfg.initial_energy),
                 queues=NodeQueues(capacity=cfg.queue_capacity),
                 rate_rt=RateEstimator(cfg.rate_tau),
                 rate_nrt=RateEstimator(cfg.rate_tau),
@@ -470,12 +483,12 @@ class Simulation:
                 node = nodes[nid]
                 queues = node.queues
                 queues.in_service = None
-                if not node.alive:
+                if not node.battery.alive:
                     # receive debits killed the node mid-service
                     self._drop(packet, DropCause.NODE_DEATH)
                 else:
                     self._deliver(node, packet, target)
-                    if node.alive and (queues.rt or queues.nrt):
+                    if node.battery.alive and (queues.rt or queues.nrt):
                         self._try_start_service(node)
             else:
                 self._on_node_death(nid)
@@ -488,7 +501,7 @@ class Simulation:
 
     def _on_generated(self, nid: int, cls: TrafficClass) -> None:
         node = self.nodes[nid]
-        if not node.alive:
+        if not node.battery.alive:
             return
         self._schedule_next_arrival(nid, cls)
         budget = (
@@ -608,7 +621,8 @@ class Simulation:
         best_cost = math.inf
         best = None
         for st in node.allowed:
-            if not st.alive:
+            battery = st.battery
+            if not battery.alive:
                 continue
             alive += 1
             est = st.rate_rt
@@ -634,8 +648,7 @@ class Simulation:
             delay += service
             if delay < min_delay:
                 min_delay = delay
-            battery = st.battery
-            usable = (math.inf if battery is None else battery.level) - rx_cost
+            usable = battery.level - rx_cost
             link = links.get(st.node_id)
             prr = 1.0 if link is None else link.stats.ratio
             if usable <= 0.0 or prr <= 0.0:
@@ -683,7 +696,7 @@ class Simulation:
             packet.hop_trace.append((target_id, self.now))
             self._record_delivery(packet)
             return
-        if not target.alive:
+        if not target.battery.alive:
             stats.record_outcome(False)
             self._drop(packet, DropCause.NODE_DEATH)
             return
@@ -705,20 +718,18 @@ class Simulation:
 
     def _record_delivery(self, packet: Packet) -> None:
         m = self.metrics
-        m.delivered[packet.cls] += 1
         m.delays[packet.cls].append(self.now - packet.created_at)
         m.delivered_by_bucket[bisect_left(self._timeline_points, self.now)] += 1
         prev = math.inf
         for nid, _when in packet.hop_trace:
             d = self.topology.distance_to_sink(nid)
-            if d > prev:
+            if d >= prev:
                 raise RuntimeError(
                     f"hop trace of packet {packet.packet_id} moved away from the sink"
                 )
             prev = d
 
     def _kill(self, node: NodeState) -> None:
-        node.alive = False
         self._pending_deaths += 1
         self._push(self.now, EventKind.NODE_DEATH, node.node_id)
 
@@ -733,8 +744,9 @@ class Simulation:
         u, v = sender.node_id, target.node_id
         cfg = self.cfg
         loss = cfg.loss_for(u, v)
+        positions = self.topology.positions
         link = Link(
-            tx_energy(cfg.packet_bits, distance(sender.position, target.position),
+            tx_energy(cfg.packet_bits, distance(positions[u], positions[v]),
                       self.radio),
             loss,
             stream_rng(cfg.seed, f"loss/{u}/{v}") if loss > 0.0 else None,
@@ -760,7 +772,9 @@ class Simulation:
         if spacing <= 0.0:
             return 0
         # looked up on routing, where perfbench/tracer.py wraps it
-        return routing.hops_linear(node.position, self.sink_position, spacing)
+        return routing.hops_linear(
+            self.topology.positions[node.node_id], self.sink_position, spacing
+        )
 
     def _finalize(self) -> None:
         m = self.metrics
@@ -771,17 +785,12 @@ class Simulation:
             in_flight += len(queues.rt) + len(queues.nrt)
             if queues.in_service is not None:
                 in_flight += 1
-            battery = st.battery
-            if battery is not None:
-                m.energy_by_node[nid] = battery.consumed
-                m.residual_by_node[nid] = battery.residual
-            sent = 0
+            if nid != SINK_ID:
+                m.energy_by_node[nid] = st.battery.consumed
+                m.residual_by_node[nid] = st.battery.residual
             for target, link in st.links.items():
                 if link.sent:
                     m.tx_by_link[(nid, target)] = link.sent
-                    sent += link.sent
-            if sent:
-                m.tx_by_node[nid] = sent
             if st.received:
                 m.rx_by_node[nid] = st.received
             for cls, count, total in (

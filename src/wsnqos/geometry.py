@@ -1,11 +1,13 @@
 """Node placement geometry, the allowed-neighbor region, and hop estimation.
 
-A node may only forward to neighbors that are inside its radio range AND no
-farther from the sink than itself (the intersection of the sender's radio
-disk with the sink-centered disk through the sender). That region's area,
-divided by the number of neighbors inside it, gives an estimate of the
-spacing between relays and hence of the number of hops left on a straight
-path to the sink.
+A node may only forward to neighbors that are inside its radio range AND
+closer to the sink than itself (the intersection of the sender's radio disk
+with the sink-centered disk through the sender, less that disk's rim). Each
+hop then strictly approaches the sink, as in GPSR's greedy mode (Karp &
+Kung, MobiCom 2000), so no packet can bounce between two nodes at equal
+sink distance. That region's area, divided by the number of neighbors
+inside it, gives an estimate of the spacing between relays and hence of
+the number of hops left on a straight path to the sink.
 
 `Topology` finds each sender's allowed neighbors through a uniform cell grid
 whose cell side is the radio range: every node sits in one cell, the index
@@ -38,15 +40,13 @@ def distance(a: Position, b: Position) -> float:
 def is_allowed_neighbor(
     sender: Position, candidate: Position, sink: Position, radio_range: float
 ) -> bool:
-    """True iff candidate is in radio reach and not farther from the sink.
+    """True iff candidate is in radio reach and closer to the sink.
 
-    The sender itself never qualifies.
+    The sender itself, and any node at its position, never qualifies.
     """
-    if candidate.x == sender.x and candidate.y == sender.y:
-        return False
     return (
         distance(sender, candidate) <= radio_range
-        and distance(candidate, sink) <= distance(sender, sink)
+        and distance(candidate, sink) < distance(sender, sink)
     )
 
 
@@ -171,7 +171,8 @@ class Topology:
         cell = self._cell
         cells = self._cells
         # the same distance(p, sink) floats the predicate computes, so a
-        # candidate farther from the sink is settled without calling it
+        # candidate no closer to the sink, the sender among them, is settled
+        # without calling it
         sink_dist = self._sink_dist
         limit = sink_dist[sender]
         ys = _cell_span(sender_pos.y / cell)
@@ -179,10 +180,8 @@ class Topology:
         for cx in _cell_span(sender_pos.x / cell):
             for cy in ys:
                 for nid, pos in cells.get((cx, cy), ()):
-                    if (
-                        nid != sender
-                        and sink_dist[nid] <= limit
-                        and is_allowed_neighbor(sender_pos, pos, sink_pos, r)
+                    if sink_dist[nid] < limit and is_allowed_neighbor(
+                        sender_pos, pos, sink_pos, r
                     ):
                         found.append(nid)
         found.sort()

@@ -1,9 +1,10 @@
 """Sender-side forwarding decision.
 
-For each packet the sender enumerates its allowed neighbors, predicts the
-per-hop delay from the neighbor's queue state (class-dependent priority
-wait, optionally plus the transmission time), reads the neighbor's usable
-energy and link reception rate, and scores each candidate with
+For each packet the sender enumerates its allowed neighbors (in radio range
+and closer to the sink than itself), predicts the per-hop delay from the
+neighbor's queue state (class-dependent priority wait, optionally plus the
+transmission time), reads the neighbor's usable energy and link reception
+rate, and scores each candidate with
 
     cost = alpha * delay + beta * (1 / energy) + gamma * (1 / prr)
 
@@ -48,7 +49,7 @@ class NeighborView:
 
     node_id: int
     position: Position
-    residual_energy: float  # J; math.inf for the mains-powered sink
+    residual_energy: float  # J; math.inf for the sink, whose battery never drains
     queue_params: QueueModelParams
     prr: float
 

@@ -386,6 +386,24 @@ class TestChainForwarding:
         ids = [p.packet_id for p in packets]
         assert ids == sorted(ids)
 
+    def test_equidistant_pair_does_not_bounce(self):
+        # both sensors are 98.5 m from the sink and 80 m apart, out of the
+        # sink's reach: neither is closer than the other, so no packet has
+        # a next hop and none is sent back and forth until it expires
+        sim = Simulation(ScenarioConfig(
+            node_count=3,
+            positions={1: (590.0, 540.0), 2: (590.0, 460.0)},
+            rate_rt=2.0,
+            rate_nrt=2.0,
+            duration=10.0,
+        ))
+        assert sim.topology.distance_to_sink(1) == sim.topology.distance_to_sink(2)
+        assert [st.allowed for st in sim.nodes.values()] == [[], [], []]
+        m = sim.run()
+        assert m.generated_total() == m.drop_count(DropCause.NO_ROUTE) == 93
+        assert m.tx_by_link == Counter()
+        assert m.total_energy == 0.0
+
 
 def mixed_load_cfg():
     # rho = 0.6 over both classes at one sensor
@@ -445,8 +463,9 @@ class TestEnergyAccounting:
         assert m.deaths == []
         k = cfg.packet_bits
         radio = cfg.radio_params()
+        positions = sim.topology.positions
         expected = fsum(
-            n * tx_energy(k, distance(sim.nodes[u].position, sim.nodes[v].position), radio)
+            n * tx_energy(k, distance(positions[u], positions[v]), radio)
             for (u, v), n in sorted(m.tx_by_link.items())
         ) + fsum(n * rx_energy(k, radio) for _nid, n in sorted(m.rx_by_node.items()))
         assert m.total_energy == pytest.approx(expected, rel=1e-9)
@@ -520,6 +539,107 @@ class TestNodeDeath:
         assert m.drop_count(DropCause.LINK_LOSS) == 0
         assert m.rx_by_node.keys() == {1}
         assert m.rx_by_node[1] == m.tx_by_link[(2, 1)] - 1
+
+    def test_deaths_between_decision_and_completion(self, monkeypatch):
+        # The lossy_lifetime benchmark's keys with placement left to the
+        # seed. At seed 11 a receive debit kills a node whose own packet is
+        # on the radio, and a chosen next hop dies before the send completes.
+        cfg = ScenarioConfig(
+            node_count=60,
+            grid_width=300.0,
+            grid_height=300.0,
+            rate_rt=10.0,
+            rate_nrt=30.0,
+            loss=0.2,
+            deadline_rt=0.004,
+            deadline_nrt=0.05,
+            initial_energy=0.0016,
+            duration=2.0,
+            seed=11,
+        )
+        sim = DeathBranchRecorder(cfg)
+        record_outcome = LinkStats.record_outcome
+
+        def recorded(stats, delivered):
+            sim.outcomes.append(delivered)
+            return record_outcome(stats, delivered)
+
+        monkeypatch.setattr(LinkStats, "record_outcome", recorded)
+        m = sim.run()
+
+        dropped = {p.packet_id: cause for p, cause in sim.drops}
+        on_radio_dropped = [
+            (nid, pid) for nid, pid in sim.on_radio_at_kill if pid in dropped
+        ]
+        assert on_radio_dropped
+        for nid, pid in on_radio_dropped:
+            # dropped at completion without leaving the radio: no send, so
+            # no link outcome, and the node's sends stop where its kill found them
+            assert dropped[pid] is DropCause.NODE_DEATH
+            assert (nid, pid) not in sim.sends
+        for nid, sent_at_kill in sim.sent_at_kill.items():
+            assert m.tx_by_node[nid] == sent_at_kill
+
+        reached_dead = [s for s in sim.dead_target_sends if s["sent"] == 1
+                        and s["drops"] != [DropCause.LINK_LOSS]]
+        assert reached_dead
+        for send in reached_dead:
+            # a send that left the radio and found its next hop dead: one
+            # failed link outcome, a node_death drop, and nothing taken from
+            # or counted at the dead target
+            assert send["drops"] == [DropCause.NODE_DEATH]
+            assert send["outcomes"] == [False]
+            assert send["target_debit"] == 0.0
+            assert send["received"] == 0
+
+
+class DeathBranchRecorder(Simulation):
+    """Notes the two deaths a completion can meet: the sender killed by a
+    receive debit while its own packet is on the radio, and a chosen next
+    hop that died after the decision."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.drops = []  # (packet, cause) in drop order
+        self.on_radio_at_kill = []  # (node, packet id) on a killed node's radio
+        self.sent_at_kill = {}  # node killed mid-service -> its sends then
+        self.sends = set()  # (sender, packet id) handed to _deliver
+        self.outcomes = []  # every flag LinkStats.record_outcome was given
+        self.dead_target_sends = []
+
+    def _drop(self, packet, cause):
+        self.drops.append((packet, cause))
+        super()._drop(packet, cause)
+
+    def _kill(self, node):
+        if node.queues.in_service is not None:
+            self.on_radio_at_kill.append(
+                (node.node_id, node.queues.in_service.packet_id)
+            )
+            self.sent_at_kill[node.node_id] = sum(
+                link.sent for link in node.links.values()
+            )
+        super()._kill(node)
+
+    def _deliver(self, sender, packet, target_id):
+        self.sends.add((sender.node_id, packet.packet_id))
+        target = self.nodes[target_id]
+        if target.battery.alive:
+            super()._deliver(sender, packet, target_id)
+            return
+        link = sender.links.get(target_id)
+        sent = 0 if link is None else link.sent
+        consumed, received = target.battery.consumed, target.received
+        drops, outcomes = len(self.drops), len(self.outcomes)
+        super()._deliver(sender, packet, target_id)
+        self.dead_target_sends.append({
+            "sent": sender.links[target_id].sent - sent,
+            "drops": [cause for _p, cause in self.drops[drops:]],
+            "outcomes": self.outcomes[outcomes:],
+            "target_debit": target.battery.consumed - consumed,
+            "received": target.received - received,
+        })
+
 
 def timeline_oracle(seed, cfg, m, delivered_at):
     """timeline.csv rows with each row's delivered count found by bisecting
@@ -783,7 +903,7 @@ def reference_route(sim, node, packet):
     views = []
     for st in node.allowed:
         nid = st.node_id
-        if not st.alive:
+        if not st.battery.alive:
             continue
         loads = QueueModelParams(
             rt=ClassLoad.deterministic(st.rate_rt.rate_at(sim.now), x),
@@ -793,16 +913,17 @@ def reference_route(sim, node, packet):
         views.append(
             NeighborView(
                 node_id=nid,
-                position=st.position,
-                residual_energy=math.inf if st.battery is None else st.battery.residual,
+                position=sim.topology.positions[nid],
+                residual_energy=st.battery.residual,
                 queue_params=loads,
                 prr=1.0 if link is None else link.stats.prr(),
             )
         )
     if not views:
         return DropCause.NO_ROUTE, []
+    sender_pos = sim.topology.positions[node.node_id]
     table = build_neighbor_table(
-        node.position,
+        sender_pos,
         packet.cls,
         views,
         cfg.packet_bits,
@@ -818,7 +939,7 @@ def reference_route(sim, node, packet):
             if spacing > 0.0 and not predictive_drop_check(
                 packet.deadline,
                 sim.now,
-                hops_linear(node.position, sim.sink_position, spacing),
+                hops_linear(sender_pos, sim.sink_position, spacing),
                 hop_delay,
             ):
                 return DropCause.PREDICTIVE, table
@@ -883,9 +1004,8 @@ class TestRouteMatchesReference:
             st = sim.nodes[nid]
             st.rate_rt = fixed_rate(sim, lam1)
             st.rate_nrt = fixed_rate(sim, lam2)
-            if st.battery is not None:
-                st.battery = Battery(residual)
-            st.alive = alive
+            if nid != SINK_ID:
+                st.battery = Battery(residual, alive=alive)
             if outcomes:
                 link = sim._new_link(sender, st)
                 for delivered in outcomes:
@@ -953,9 +1073,9 @@ class TestRouteMatchesReference:
                 for t in times:
                     est.observe(t)
                 setattr(st, attr, est)
-            if st.battery is not None:
-                st.battery = Battery(rng.choice([rx_cost * 0.5, rng.uniform(1e-5, 2.0)]))
-            st.alive = st.node_id == SINK_ID or rng.random() >= 0.15
+            if st.node_id != SINK_ID:
+                level = rng.choice([rx_cost * 0.5, rng.uniform(1e-5, 2.0)])
+                st.battery = Battery(level, alive=rng.random() >= 0.15)
             sends = rng.choice([None, 0, rng.randint(1, window - 1),
                                 rng.randint(window, 3 * window)])
             if sends is not None:
@@ -985,7 +1105,7 @@ class TestRouteMatchesReference:
                 seen[expected if isinstance(expected, DropCause) else "hop"] += 1
                 seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
                 for st in node.allowed:
-                    if not st.alive:
+                    if not st.battery.alive:
                         continue
                     for est in (st.rate_rt, st.rate_nrt):
                         if est.last_arrival == sim.now:
@@ -1145,9 +1265,7 @@ def test_link_state_is_built_once_per_link(monkeypatch):
     for (u, _v), n in m.tx_by_link.items():
         sent_by_node[u] += n
     assert m.tx_by_node == sent_by_node
-    node_of_battery = {
-        id(st.battery): nid for nid, st in sim.nodes.items() if st.battery is not None
-    }
+    node_of_battery = {id(st.battery): nid for nid, st in sim.nodes.items()}
     assert m.rx_by_node == Counter(
         {node_of_battery[b]: n for b, n in receptions.items()}
     )

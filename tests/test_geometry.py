@@ -66,7 +66,7 @@ class TestAllowedNeighbor:
         expected = (
             cand != sender
             and math.hypot(cx - sx, cy - sy) <= rng
-            and math.hypot(cx, cy) <= math.hypot(sx, sy)
+            and math.hypot(cx, cy) < math.hypot(sx, sy)
         )
         assert is_allowed_neighbor(sender, cand, self.SINK, rng) == expected
 
@@ -131,7 +131,7 @@ class TestAllowedArea:
             p = Position(rng.uniform(-50, 250), rng.uniform(-150, 150))
             if is_allowed_neighbor(sender, p, sink, rng_m):
                 assert distance(p, sender) <= rng_m
-                assert distance(p, sink) <= distance(sender, sink)
+                assert distance(p, sink) < distance(sender, sink)
 
 
 class TestDelta:
@@ -179,7 +179,7 @@ class TestTopology:
 
     def test_line_allowed_sets(self):
         topo = self.make()
-        # node 2 reaches 1 and 3; only 1 is at least as close to the sink
+        # node 2 reaches 1 and 3; only 1 is closer to the sink
         assert topo.allowed_neighbor_ids(2) == [1]
         assert topo.allowed_neighbor_ids(1) == [0]
         assert topo.allowed_neighbor_ids(4) == [3]
@@ -191,10 +191,8 @@ class TestTopology:
             expected = [
                 nid
                 for nid, pos in sorted(topo.positions.items())
-                if nid != sender
-                and pos != topo.positions[sender]
-                and distance(topo.positions[sender], pos) <= topo.radio_range
-                and distance(pos, sink_pos) <= distance(topo.positions[sender], sink_pos)
+                if distance(topo.positions[sender], pos) <= topo.radio_range
+                and distance(pos, sink_pos) < distance(topo.positions[sender], sink_pos)
             ]
             assert topo.allowed_neighbor_ids(sender) == expected
 
@@ -272,12 +270,13 @@ class TestCellIndexMatchesAllPairs:
 
     def test_range_apart_across_two_cell_boundaries(self):
         # x = -1e-17 sits in cell -1 and x = 10 in cell 1, yet fl(10 + 1e-17)
-        # = 10 is in range: a bare 3x3 block around the sender misses it
+        # = 10 is in range: a bare 3x3 block around the sender misses it.
+        # Nodes 1 and 3 are both 20.0 from the sink, so neither lists the other.
         points = [(20.0, 5.0), (-1e-17, 5.0), (10.0, 5.0), (-1e-300, 5.0)]
         topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
                         sink=0, radio_range=10.0)
-        assert topo.allowed_neighbor_ids(1) == [2, 3]
-        assert topo.allowed_neighbor_ids(3) == [1, 2]
+        assert topo.allowed_neighbor_ids(1) == [2]
+        assert topo.allowed_neighbor_ids(3) == [2]
         assert_matches_all_pairs(points, 10.0)
 
     def test_coincident_nodes_exclude_each_other(self):
