@@ -8,7 +8,8 @@ Node ids run from 0 to node_count - 1; id 0 is always the sink.
 Key reference (defaults in parentheses):
 
     grid.width (1000), grid.height (1000)     grid extent in meters
-    node_count (300)                          nodes including the sink
+    node_count (300)                          nodes including the sink;
+                                              at most 300,000
     sink.x, sink.y (grid center)              sink position
     position.<id> = x,y                       pin a sensor's position
     radio.e_elec_nj (50)                      electronics energy, nJ/bit
@@ -52,6 +53,10 @@ MAX_TIMELINE_BUCKETS = 1_000_000
 # packets a run expects to generate; arrival instants are drawn at set-up,
 # 8 B each, so at the cap they come to about 1 GB
 MAX_EXPECTED_PACKETS = 10**8
+# nodes a run holds; at the default density set-up keeps about 3.4 KB per
+# node, so at the cap they come to about 1 GB, as the arrivals at
+# MAX_EXPECTED_PACKETS do. Each allowed neighbor adds about 8 B more.
+MAX_NODE_COUNT = 300_000
 
 
 class ConfigError(ValueError):
@@ -105,7 +110,7 @@ def _key(key, parse, default, low=None, high=None, *, above=False):
 class ScenarioConfig:
     grid_width: float = _key("grid.width", _parse_float, 1000.0, 0, above=True)
     grid_height: float = _key("grid.height", _parse_float, 1000.0, 0, above=True)
-    node_count: int = _key("node_count", _parse_int, 300, 2)
+    node_count: int = _key("node_count", _parse_int, 300, 2, MAX_NODE_COUNT)
     sink_x: float | None = _key("sink.x", _parse_float, None)
     sink_y: float | None = _key("sink.y", _parse_float, None)
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)

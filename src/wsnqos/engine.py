@@ -8,6 +8,10 @@ directed link's loss draws) has its own generator derived from the master
 seed by a stable label, so identical (config, seed) pairs reproduce
 bit-identical results and changing one stream never perturbs the others.
 
+A node dies at the debit that drains its battery, inside the event that
+makes it, and its queued packets are dropped then; a run ends at its
+horizon or on the event that kills its last source.
+
 Idealizations, chosen to isolate the routing behavior under test: zero
 propagation delay, ground-truth per-packet delivery feedback to the sender
 (a free link-layer acknowledgment), senders read neighbors' current queue
@@ -58,7 +62,6 @@ from .routing import (  # noqa: F401
 class EventKind(Enum):
     PACKET_GENERATED = "packet_generated"
     TRANSMISSION_COMPLETE = "transmission_complete"
-    NODE_DEATH = "node_death"
 
 
 class DropCause(Enum):
@@ -388,7 +391,6 @@ class Simulation:
         )
 
         self.topology = self._place_nodes()
-        self.sink_position = self.topology.positions[SINK_ID]
         self.nodes: dict[int, NodeState] = {}
         for nid in self.topology.positions:
             self.nodes[nid] = NodeState(
@@ -406,7 +408,6 @@ class Simulation:
 
         self.source_set = set(cfg.source_ids())
         self.alive_sources = len(self.source_set)
-        self._pending_deaths = 0
         self._next_packet_id = 0
 
         # each stream's remaining arrival instants, as Python floats over
@@ -467,7 +468,6 @@ class Simulation:
         heap = self.heap
         nodes = self.nodes
         generated = EventKind.PACKET_GENERATED
-        tx_complete = EventKind.TRANSMISSION_COMPLETE
         while heap:
             time, _seq, kind, nid, cls, packet, target = heapq.heappop(heap)
             if time > horizon:
@@ -479,7 +479,7 @@ class Simulation:
             self.now = time
             if kind is generated:
                 self._on_generated(nid, cls)
-            elif kind is tx_complete:
+            else:
                 node = nodes[nid]
                 queues = node.queues
                 queues.in_service = None
@@ -487,12 +487,11 @@ class Simulation:
                     # receive debits killed the node mid-service
                     self._drop(packet, DropCause.NODE_DEATH)
                 else:
+                    # a send that kills the sender empties its queues
                     self._deliver(node, packet, target)
-                    if node.battery.alive and (queues.rt or queues.nrt):
+                    if queues.rt or queues.nrt:
                         self._try_start_service(node)
-            else:
-                self._on_node_death(nid)
-            if self.alive_sources == 0 and self._pending_deaths == 0:
+            if self.alive_sources == 0:
                 break
         self._finalize()
         return self.metrics
@@ -519,40 +518,28 @@ class Simulation:
         (node.rate_rt if cls is TrafficClass.RT else node.rate_nrt).observe(self.now)
         self._arrive(node, packet)
 
-    def _on_node_death(self, nid: int) -> None:
-        self._pending_deaths -= 1
-        node = self.nodes[nid]
-        for q in (node.queues.rt, node.queues.nrt):
-            while q:
-                self._drop(q.popleft(), DropCause.NODE_DEATH)
-        self.metrics.deaths.append((self.now, nid))
-        if nid in self.source_set:
-            self.alive_sources -= 1
-
     # -- packet lifecycle ----------------------------------------------
 
     def _arrive(self, node: NodeState, packet: Packet) -> None:
         """Admit a packet that has just reached an alive node.
 
-        A node that is idle with both queues empty serves it at once, with
-        zero wait: no other packet can go first, so this is what queueing
-        it and dequeueing it again would do. Otherwise the packet takes the
-        queue path: it joins its class queue, or is dropped when that queue
-        is full. A node is idle with queued packets only when they were
-        placed from outside the event loop; it then drains its queues.
+        An idle node serves it at once, with zero wait. Every event leaves
+        an idle node with both queues empty, so no other packet can go
+        first, and this is what queueing it and dequeueing it again would
+        do. A busy node queues it in its class queue, or drops it when that
+        queue is full.
         """
         queues = node.queues
-        if queues.in_service is None and not queues.rt and not queues.nrt:
+        if queues.in_service is None:
             self._serve(node, packet)
         elif not classify_enqueue(queues, packet):
             self._drop(packet, DropCause.BUFFER_OVERFLOW)
-        elif queues.in_service is None:
-            self._try_start_service(node)
 
     def _serve(self, node: NodeState, packet: Packet) -> bool:
         """Route a packet that an idle node takes up, straight on arrival or
         from its queues, and put it on the radio; False when the decision
-        drops it instead. Its wait at the node ends now."""
+        drops it instead, which leaves the node idle. Its wait at the node
+        ends now."""
         decision = self._route(node, packet)
         if isinstance(decision, DropCause):
             self._drop(packet, decision)
@@ -730,8 +717,15 @@ class Simulation:
             prev = d
 
     def _kill(self, node: NodeState) -> None:
-        self._pending_deaths += 1
-        self._push(self.now, EventKind.NODE_DEATH, node.node_id)
+        """Drop the packets queued at a node a debit just drained and note
+        its death now; a packet on its radio is dropped when its send ends."""
+        queues = node.queues
+        for q in (queues.rt, queues.nrt):
+            while q:
+                self._drop(q.popleft(), DropCause.NODE_DEATH)
+        self.metrics.deaths.append((self.now, node.node_id))
+        if node.node_id in self.source_set:
+            self.alive_sources -= 1
 
     def _drop(self, packet: Packet, cause: DropCause) -> None:
         self.metrics.drops[(cause, packet.cls)] += 1
@@ -755,26 +749,22 @@ class Simulation:
         sender.links[v] = link
         return link
 
-    def _allowed_area(self, nid: int) -> float:
-        pos = self.topology.positions[nid]
-        if distance(pos, self.sink_position) <= 0.0:
-            return 0.0
-        return allowed_area(pos, self.sink_position, self.cfg.radio_range)
-
     def _hops_to_sink(self, node: NodeState, alive: int) -> int:
         """Hops of a straight path to the sink at the relay spacing of
         `alive` neighbors over the node's allowed area; 0 when the area or
-        the spacing is not positive, which disables the predictive drop."""
-        area = self._allowed_area(node.node_id)
+        the spacing is not positive, which disables the predictive drop.
+        Only a node with an alive allowed neighbor asks; that neighbor is
+        strictly closer to the sink, so the node is not at the sink."""
+        positions = self.topology.positions
+        pos, sink = positions[node.node_id], positions[SINK_ID]
+        area = allowed_area(pos, sink, self.cfg.radio_range)
         if area <= 0.0:
             return 0
         spacing = delta(area, alive)
         if spacing <= 0.0:
             return 0
         # looked up on routing, where perfbench/tracer.py wraps it
-        return routing.hops_linear(
-            self.topology.positions[node.node_id], self.sink_position, spacing
-        )
+        return routing.hops_linear(pos, sink, spacing)
 
     def _finalize(self) -> None:
         m = self.metrics

@@ -48,7 +48,6 @@ class NeighborView:
     """What the sender can see of one candidate next hop."""
 
     node_id: int
-    position: Position
     residual_energy: float  # J; math.inf for the sink, whose battery never drains
     queue_params: QueueModelParams
     prr: float

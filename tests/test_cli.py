@@ -232,7 +232,8 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
 # that underflow to 0 J in SI units, deadline budgets the clock cannot add to
 # a creation time, a packet too big for a float and a zero-length packet, an
 # infinite service time, a rate averaging time whose inverse overflows, too
-# many timeline rows, and more expected packets than set-up can draw.
+# many timeline rows, more expected packets than set-up can draw, and more
+# nodes than set-up can hold.
 REJECTED_INPUTS = [
     ("radio.e_elec_nj = 1e-320", "radio: e_elec"),
     ("radio.eps_amp_pj = 1e-320", "radio: eps_amp"),
@@ -247,6 +248,8 @@ REJECTED_INPUTS = [
     # arrivals are drawn at set-up: 10^6 packets/s for 100 s is at the cap
     ("rate.rt = 1e300", "rate.rt"),
     (f"rate.rt = {math.nextafter(1e6, math.inf)!r}", "rate.rt"),
+    # set-up holds about 3.4 KB per node: 300,000 nodes is at the cap
+    ("node_count = 300001", "node_count"),
 ]
 
 
@@ -263,6 +266,22 @@ def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
     assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_node_count_at_the_cap_reaches_the_run(tmp_path, monkeypatch):
+    # the run is replaced: set-up at the cap would hold about 1 GB
+    class Reached(Exception):
+        pass
+
+    def no_run(cfg):
+        raise Reached(cfg.node_count)
+
+    monkeypatch.setattr(cli, "run", no_run)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("rate.rt = 0\nrate.nrt = 0\nnode_count = 300000\n")
+    with pytest.raises(Reached) as reached:
+        main(["--config", str(scenario), "--out", str(tmp_path), "--quiet"])
+    assert reached.value.args == (300000,)
 
 
 def test_tiny_rate_tau_with_a_finite_inverse_runs(tmp_path):

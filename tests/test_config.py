@@ -199,6 +199,17 @@ class TestHelpers:
         with pytest.raises(ConfigError, match="^rate.rt: "):
             ScenarioConfig(duration=1e8)
 
+    def test_node_count_is_capped(self):
+        # checked on the config only: set-up at the cap holds about 1 GB.
+        # With no traffic, no other bound applies to node_count.
+        cap = config.MAX_NODE_COUNT
+        text = "rate.rt = 0\nrate.nrt = 0\nnode_count = "
+        assert parse_config(text + str(cap)).node_count == cap
+        with pytest.raises(ConfigError, match="^node_count: must be <= 300000"):
+            parse_config(text + str(cap + 1))
+        with pytest.raises(ConfigError, match="^node_count: "):
+            parse_config(text + "100000000")
+
     def test_timeline_bucket_count_is_capped(self):
         # checked on the config only: a run this fine would write a million
         # timeline rows per seed

@@ -32,7 +32,7 @@ from wsnqos.engine import (
     stream_rng,
     stream_rngs,
 )
-from wsnqos.geometry import delta, distance, hops_linear
+from wsnqos.geometry import allowed_area, delta, distance, hops_linear
 from wsnqos.linkest import LinkStats
 from wsnqos.node import Packet, RateEstimator, TrafficClass, classify_enqueue
 from wsnqos.queueing import ClassLoad, QueueModelParams
@@ -500,6 +500,7 @@ class TestNodeDeath:
     def test_simulation_stops_when_all_sources_dead(self):
         m = run(self.death_cfg())
         assert m.end_time == m.first_death_time
+        assert m.end_time == m.deaths[-1][0]
         assert m.end_time < 50.0
         assert m.generated_total() == m.delivered_total() + m.drops_total() + m.in_flight
 
@@ -541,23 +542,9 @@ class TestNodeDeath:
         assert m.rx_by_node[1] == m.tx_by_link[(2, 1)] - 1
 
     def test_deaths_between_decision_and_completion(self, monkeypatch):
-        # The lossy_lifetime benchmark's keys with placement left to the
-        # seed. At seed 11 a receive debit kills a node whose own packet is
-        # on the radio, and a chosen next hop dies before the send completes.
-        cfg = ScenarioConfig(
-            node_count=60,
-            grid_width=300.0,
-            grid_height=300.0,
-            rate_rt=10.0,
-            rate_nrt=30.0,
-            loss=0.2,
-            deadline_rt=0.004,
-            deadline_nrt=0.05,
-            initial_energy=0.0016,
-            duration=2.0,
-            seed=11,
-        )
-        sim = DeathBranchRecorder(cfg)
+        # At seed 11 a receive debit kills a node whose own packet is on the
+        # radio, and a chosen next hop dies before the send completes.
+        sim = DeathBranchRecorder(lossy_lifetime_seed_11())
         record_outcome = LinkStats.record_outcome
 
         def recorded(stats, delivered):
@@ -591,6 +578,24 @@ class TestNodeDeath:
             assert send["outcomes"] == [False]
             assert send["target_debit"] == 0.0
             assert send["received"] == 0
+
+
+def lossy_lifetime_seed_11():
+    """The lossy_lifetime benchmark's keys with placement left to the seed,
+    at seed 11."""
+    return ScenarioConfig(
+        node_count=60,
+        grid_width=300.0,
+        grid_height=300.0,
+        rate_rt=10.0,
+        rate_nrt=30.0,
+        loss=0.2,
+        deadline_rt=0.004,
+        deadline_nrt=0.05,
+        initial_energy=0.0016,
+        duration=2.0,
+        seed=11,
+    )
 
 
 class DeathBranchRecorder(Simulation):
@@ -775,55 +780,82 @@ class QueueEveryArrival(Simulation):
             self._try_start_service(node)
 
 
-def queued_rt_at_idle_sensor(sim):
-    # an RT packet placed by hand in idle node 1's queue; the first NRT
-    # arrival finds the radio idle but the queues not empty, so the RT
-    # packet must go first
-    sim.metrics.generated[TrafficClass.RT] += 1
-    classify_enqueue(sim.nodes[1].queues, Packet(10**6, TrafficClass.RT, 1, 0.0, 50.0))
-
-
 ARRIVAL_SCENARIOS = {
-    "saturated_relay": (
-        lambda: parse_config(GOLDEN_SCENARIOS["saturated_relay"][0]),
-        None,
+    "saturated_relay": lambda: parse_config(GOLDEN_SCENARIOS["saturated_relay"][0]),
+    "queue_capacity_1": lambda: two_node_cfg(
+        rate_rt=1500.0,
+        rate_nrt=1500.0,
+        duration=2.0,
+        queue_capacity=1,
+        deadline_rt=1.0,
+        deadline_nrt=1.0,
+        initial_energy=50.0,
+        seed=4,
     ),
-    "queue_capacity_1": (
-        lambda: two_node_cfg(
-            rate_rt=1500.0,
-            rate_nrt=1500.0,
-            duration=2.0,
-            queue_capacity=1,
-            deadline_rt=1.0,
-            deadline_nrt=1.0,
-            initial_energy=50.0,
-            seed=4,
-        ),
-        None,
+    "lossy_deaths_expiry": lambda: ScenarioConfig(
+        node_count=30,
+        grid_width=250.0,
+        grid_height=250.0,
+        loss=0.2,
+        initial_energy=0.003,
+        rate_rt=60.0,
+        rate_nrt=60.0,
+        duration=5.0,
+        deadline_rt=0.002,
+        deadline_nrt=0.003,
+        predictive_drop=False,
+        seed=1,
     ),
-    "lossy_deaths_expiry": (
-        lambda: ScenarioConfig(
-            node_count=30,
-            grid_width=250.0,
-            grid_height=250.0,
-            loss=0.2,
-            initial_energy=0.003,
-            rate_rt=60.0,
-            rate_nrt=60.0,
-            duration=5.0,
-            deadline_rt=0.002,
-            deadline_nrt=0.003,
-            predictive_drop=False,
-            seed=1,
-        ),
-        None,
-    ),
-    "mixed_load": (mixed_load_cfg, None),
-    "queued_at_idle_node": (
-        lambda: two_node_cfg(rate_rt=0.0, rate_nrt=5.0, duration=10.0),
-        queued_rt_at_idle_sensor,
-    ),
+    "mixed_load": mixed_load_cfg,
 }
+
+
+class InvariantChecker(Simulation):
+    """Checks the two facts the arrival rule and the death at the kill rest
+    on: a node that a packet reaches idle has both queues empty, and a
+    killed node's queues are empty with its death noted at once."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.idle_arrivals = 0
+        self.kills = 0
+        self.queued_at_kill = 0  # packets a kill found in the node's queues
+
+    def _arrive(self, node, packet):
+        queues = node.queues
+        if queues.in_service is None:
+            assert not queues.rt and not queues.nrt, node.node_id
+            self.idle_arrivals += 1
+        super()._arrive(node, packet)
+
+    def _kill(self, node):
+        self.queued_at_kill += len(node.queues.rt) + len(node.queues.nrt)
+        super()._kill(node)
+        assert not node.queues.rt and not node.queues.nrt, node.node_id
+        assert self.metrics.deaths[-1] == (self.now, node.node_id)
+        self.kills += 1
+
+
+# the arrival scenarios, the golden ones (saturated_relay is both) and the
+# one run where a kill finds packets queued
+INVARIANT_SCENARIOS = {
+    **ARRIVAL_SCENARIOS,
+    **{
+        name: (lambda text=text: parse_config(text))
+        for name, (text, _args) in GOLDEN_SCENARIOS.items()
+    },
+    "lossy_lifetime_seed_11": lossy_lifetime_seed_11,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_SCENARIOS))
+def test_idle_nodes_hold_no_packets_and_deaths_act_at_the_kill(name):
+    sim = InvariantChecker(INVARIANT_SCENARIOS[name]())
+    m = sim.run()
+    assert sim.idle_arrivals > 0
+    assert sim.kills == len(m.deaths)
+    if name == "lossy_lifetime_seed_11":
+        assert sim.queued_at_kill > 0
 
 
 @pytest.fixture()
@@ -841,20 +873,12 @@ def enqueue_calls(monkeypatch):
 
 
 class TestArrivalRule:
-    @staticmethod
-    def run(sim_class, cfg, prepare):
-        sim = sim_class(cfg)
-        if prepare is not None:
-            prepare(sim)
-        return sim.run()
-
     @pytest.mark.parametrize("name", sorted(ARRIVAL_SCENARIOS))
     def test_matches_queueing_every_arrival(self, enqueue_calls, name):
-        make_cfg, prepare = ARRIVAL_SCENARIOS[name]
-        cfg = make_cfg()
-        m = self.run(Simulation, cfg, prepare)
+        cfg = ARRIVAL_SCENARIOS[name]()
+        m = Simulation(cfg).run()
         assert enqueue_calls["enqueue"] > 0  # some packets found their node busy
-        oracle = self.run(QueueEveryArrival, cfg, prepare)
+        oracle = QueueEveryArrival(cfg).run()
         assert cli.metrics_row(cfg.seed, m) == cli.metrics_row(cfg.seed, oracle)
         assert cli.timeline_rows(cfg.seed, cfg, m) == cli.timeline_rows(
             cfg.seed, cfg, oracle
@@ -913,7 +937,6 @@ def reference_route(sim, node, packet):
         views.append(
             NeighborView(
                 node_id=nid,
-                position=sim.topology.positions[nid],
                 residual_energy=st.battery.residual,
                 queue_params=loads,
                 prr=1.0 if link is None else link.stats.prr(),
@@ -922,6 +945,7 @@ def reference_route(sim, node, packet):
     if not views:
         return DropCause.NO_ROUTE, []
     sender_pos = sim.topology.positions[node.node_id]
+    sink_pos = sim.topology.positions[SINK_ID]
     table = build_neighbor_table(
         sender_pos,
         packet.cls,
@@ -932,14 +956,14 @@ def reference_route(sim, node, packet):
         cfg.include_service_time,
     )
     if cfg.predictive_drop:
-        area = sim._allowed_area(node.node_id)
+        area = allowed_area(sender_pos, sink_pos, cfg.radio_range)
         hop_delay = min_finite_delay(table)
         if area > 0.0 and hop_delay is not None:
             spacing = delta(area, len(table))
             if spacing > 0.0 and not predictive_drop_check(
                 packet.deadline,
                 sim.now,
-                hops_linear(sender_pos, sim.sink_position, spacing),
+                hops_linear(sender_pos, sink_pos, spacing),
                 hop_delay,
             ):
                 return DropCause.PREDICTIVE, table

@@ -176,8 +176,8 @@ class TestBuildNeighborTable:
     def test_sink_candidate_is_scored_and_selected(self):
         sender = Position(50.0, 0.0)
         cands = [
-            NeighborView(0, Position(0.0, 0.0), math.inf, loads(), 1.0),
-            NeighborView(3, Position(30.0, 0.0), 1.5, loads(rate_rt=500.0), 0.9),
+            NeighborView(0, math.inf, loads(), 1.0),
+            NeighborView(3, 1.5, loads(rate_rt=500.0), 0.9),
         ]
         table = build_neighbor_table(
             sender, TrafficClass.RT, cands, 100, RADIO, WEIGHTS
@@ -190,7 +190,7 @@ class TestBuildNeighborTable:
 
     def test_exhausted_relay_gets_infinite_cost(self):
         rx_cost = 100 * RADIO.e_elec
-        cands = [NeighborView(2, Position(1.0, 0.0), rx_cost * 0.5, loads(), 1.0)]
+        cands = [NeighborView(2, rx_cost * 0.5, loads(), 1.0)]
         table = build_neighbor_table(
             Position(5.0, 0.0), TrafficClass.RT, cands, 100, RADIO, WEIGHTS
         )
@@ -198,7 +198,7 @@ class TestBuildNeighborTable:
         assert table[0].cost == math.inf
 
     def test_usable_energy_subtracts_receive_cost(self):
-        cands = [NeighborView(2, Position(1.0, 0.0), 2.0, loads(), 1.0)]
+        cands = [NeighborView(2, 2.0, loads(), 1.0)]
         table = build_neighbor_table(
             Position(5.0, 0.0), TrafficClass.RT, cands, 100, RADIO, WEIGHTS
         )
