@@ -9,7 +9,11 @@ Key reference (defaults in parentheses):
 
     grid.width (1000), grid.height (1000)     grid extent in meters
     node_count (300)                          nodes including the sink;
-                                              at most 300,000
+                                              at most 300,000, and at most
+                                              10^8 pairs expected in radio
+                                              range under uniform placement;
+                                              pinned positions clustered
+                                              tighter can hold more
     sink.x, sink.y (grid center)              sink position
     position.<id> = x,y                       pin a sensor's position
     radio.e_elec_nj (50)                      electronics energy, nJ/bit
@@ -57,6 +61,11 @@ MAX_EXPECTED_PACKETS = 10**8
 # node, so at the cap they come to about 1 GB, as the arrivals at
 # MAX_EXPECTED_PACKETS do. Each allowed neighbor adds about 8 B more.
 MAX_NODE_COUNT = 300_000
+# node pairs a run expects within radio range, C(N, 2) x min(1, pi r^2 / (W H));
+# each gives at most one allowed-neighbor entry, about 8.5 B, so at the cap
+# they come to about 850 MB. The share assumes uniform placement: pinned
+# positions clustered tighter than that can still hold more pairs.
+MAX_IN_RANGE_PAIRS = 10**8
 
 
 class ConfigError(ValueError):
@@ -183,6 +192,18 @@ class ScenarioConfig:
         self._validate_cross_field()
 
     def _validate_cross_field(self) -> None:
+        # a grid area that underflows to 0, or a reach that covers it,
+        # puts every pair in range
+        area = self.grid_width * self.grid_height
+        reach = math.pi * self.radio_range * self.radio_range
+        share = reach / area if 0.0 < area and reach < area else 1.0
+        pairs = self.node_count * (self.node_count - 1) // 2 * share
+        if not pairs <= MAX_IN_RANGE_PAIRS:
+            raise ConfigError(
+                "node_count",
+                f"C(node_count, 2) x the share of the grid in radio range must be "
+                f"<= {MAX_IN_RANGE_PAIRS} expected pairs in range, got {pairs:.6g}",
+            )
         for nid, (x, y) in self.positions.items():
             key = f"position.{nid}"
             if nid == SINK_ID:

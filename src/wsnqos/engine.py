@@ -59,11 +59,6 @@ from .routing import (  # noqa: F401
 )
 
 
-class EventKind(Enum):
-    PACKET_GENERATED = "packet_generated"
-    TRANSMISSION_COMPLETE = "transmission_complete"
-
-
 class DropCause(Enum):
     EXPIRED = "expired"
     PREDICTIVE = "predictive"
@@ -380,9 +375,10 @@ class Simulation:
         self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
         self.now = 0.0
         self._seq = 0
-        # events are (time, seq, kind, node, cls, packet, target); the unique
-        # seq breaks time ties in scheduling order, so the tuple comparison
-        # never reaches the later fields
+        # events are (time, seq, node, cls, packet, target): a generation
+        # carries its class and no packet, the end of a send its packet and
+        # target. The unique seq breaks time ties in scheduling order, so the
+        # tuple comparison never reaches the later fields
         self.heap: list[tuple] = []
         self._timeline_points = cfg.timeline_points()
         self.metrics = Metrics(
@@ -400,11 +396,21 @@ class Simulation:
                 rate_rt=RateEstimator(cfg.rate_tau),
                 rate_nrt=RateEstimator(cfg.rate_tau),
             )
+        # every hop _route picks is on these lists, so this checks that each
+        # hop moves strictly closer to the sink; raise, not assert, so the
+        # check stays on under python -O
+        topology = self.topology
         for nid, st in self.nodes.items():
-            if nid != SINK_ID:
-                st.allowed = [
-                    self.nodes[a] for a in self.topology.allowed_neighbor_ids(nid)
-                ]
+            if nid == SINK_ID:
+                continue
+            allowed = topology.allowed_neighbor_ids(nid)
+            limit = topology.distance_to_sink(nid)
+            for a in allowed:
+                if not topology.distance_to_sink(a) < limit:
+                    raise RuntimeError(
+                        f"allowed neighbor {a} of node {nid} is no closer to the sink"
+                    )
+            st.allowed = [self.nodes[a] for a in allowed]
 
         self.source_set = set(cfg.source_ids())
         self.alive_sources = len(self.source_set)
@@ -444,22 +450,15 @@ class Simulation:
             positions[nid] = Position(x, y)
         return Topology(positions, SINK_ID, cfg.radio_range)
 
-    def _push(
-        self,
-        time: float,
-        kind: EventKind,
-        node: int,
-        cls: TrafficClass | None = None,
-        packet: Packet | None = None,
-        target: int | None = None,
-    ) -> None:
+    def _push(self, time: float, node: int, cls: TrafficClass | None,
+              packet: Packet | None, target: int | None) -> None:
         self._seq += 1
-        heapq.heappush(self.heap, (time, self._seq, kind, node, cls, packet, target))
+        heapq.heappush(self.heap, (time, self._seq, node, cls, packet, target))
 
     def _schedule_next_arrival(self, nid: int, cls: TrafficClass) -> None:
         time = next(self._arrivals[(nid, cls)], None)
         if time is not None:
-            self._push(time, EventKind.PACKET_GENERATED, nid, cls=cls)
+            self._push(time, nid, cls, None, None)
 
     # -- main loop -----------------------------------------------------
 
@@ -467,9 +466,8 @@ class Simulation:
         horizon = self.cfg.duration
         heap = self.heap
         nodes = self.nodes
-        generated = EventKind.PACKET_GENERATED
         while heap:
-            time, _seq, kind, nid, cls, packet, target = heapq.heappop(heap)
+            time, _seq, nid, cls, packet, target = heapq.heappop(heap)
             if time > horizon:
                 break
             if time < self.now:
@@ -477,7 +475,7 @@ class Simulation:
                     f"event calendar went backwards: {time!r} < {self.now!r}"
                 )
             self.now = time
-            if kind is generated:
+            if packet is None:
                 self._on_generated(nid, cls)
             else:
                 node = nodes[nid]
@@ -544,7 +542,7 @@ class Simulation:
         if isinstance(decision, DropCause):
             self._drop(packet, decision)
             return False
-        wait = self.now - packet.hop_trace[-1][1]
+        wait = self.now - packet.arrived_at
         if packet.cls is TrafficClass.RT:
             node.wait_sum_rt += wait
             node.waits_rt += 1
@@ -552,13 +550,7 @@ class Simulation:
             node.wait_sum_nrt += wait
             node.waits_nrt += 1
         node.queues.in_service = packet
-        self._push(
-            self.now + self._x,
-            EventKind.TRANSMISSION_COMPLETE,
-            node.node_id,
-            packet=packet,
-            target=decision,
-        )
+        self._push(self.now + self._x, node.node_id, None, packet, decision)
         return True
 
     def _try_start_service(self, node: NodeState) -> None:
@@ -680,7 +672,6 @@ class Simulation:
             if packet.deadline < self.now:
                 self._drop(packet, DropCause.EXPIRED)
                 return
-            packet.hop_trace.append((target_id, self.now))
             self._record_delivery(packet)
             return
         if not target.battery.alive:
@@ -700,21 +691,16 @@ class Simulation:
         if packet.deadline < self.now:
             self._drop(packet, DropCause.EXPIRED)
             return
-        packet.hop_trace.append((target_id, self.now))
+        packet.arrived_at = self.now
         self._arrive(target, packet)
 
     def _record_delivery(self, packet: Packet) -> None:
+        """Count a packet the sink received now: its end-to-end delay and
+        its timeline bucket. That every hop moved closer to the sink was
+        checked once, on the allowed tables, at set-up."""
         m = self.metrics
         m.delays[packet.cls].append(self.now - packet.created_at)
         m.delivered_by_bucket[bisect_left(self._timeline_points, self.now)] += 1
-        prev = math.inf
-        for nid, _when in packet.hop_trace:
-            d = self.topology.distance_to_sink(nid)
-            if d >= prev:
-                raise RuntimeError(
-                    f"hop trace of packet {packet.packet_id} moved away from the sink"
-                )
-            prev = d
 
     def _kill(self, node: NodeState) -> None:
         """Drop the packets queued at a node a debit just drained and note

@@ -25,22 +25,22 @@ class TrafficClass(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """One routed data unit; hop_trace holds (node id, arrival time) pairs."""
+    """One routed data unit. arrived_at is when it reached the node that
+    holds it, its creation time at its source; its wait there starts then."""
 
     packet_id: int
     cls: TrafficClass
     source: int
     created_at: float
     deadline: float
-    hop_trace: list[tuple[int, float]] = field(default_factory=list)
+    arrived_at: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.deadline <= self.created_at:
             raise ValueError("deadline must be after creation time")
-        if not self.hop_trace:
-            self.hop_trace = [(self.source, self.created_at)]
+        self.arrived_at = self.created_at
 
 
 @dataclass

@@ -176,8 +176,10 @@ def test_criterion_6_no_delivery_ever_misses_its_deadline(deadline_runs):
     delivered = 0
     deadline_drops = 0
     conserved = True
-    for _sim, m, packets in deadline_runs:
-        late += sum(1 for p in packets if p.hop_trace[-1][1] > p.deadline)
+    for _sim, m, packets, traces in deadline_runs:
+        late += sum(
+            1 for p, trace in zip(packets, traces) if trace[-1][1] > p.deadline
+        )
         delivered += m.delivered_total()
         deadline_drops += m.drop_count(DropCause.EXPIRED) + m.drop_count(
             DropCause.PREDICTIVE
@@ -193,10 +195,10 @@ def test_criterion_6_no_delivery_ever_misses_its_deadline(deadline_runs):
 def test_criterion_7_hop_traces_always_approach_the_sink(deadline_runs):
     loops = 0
     checked = 0
-    for sim, _m, packets in deadline_runs:
+    for sim, _m, _packets, traces in deadline_runs:
         dist = sim.topology.distance_to_sink
-        for p in packets:
-            ids = [nid for nid, _t in p.hop_trace]
+        for trace in traces:
+            ids = [nid for nid, _t in trace]
             dists = [dist(nid) for nid in ids]
             checked += 1
             if any(b >= a for a, b in zip(dists, dists[1:])):

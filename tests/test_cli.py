@@ -250,6 +250,10 @@ REJECTED_INPUTS = [
     (f"rate.rt = {math.nextafter(1e6, math.inf)!r}", "rate.rt"),
     # set-up holds about 3.4 KB per node: 300,000 nodes is at the cap
     ("node_count = 300001", "node_count"),
+    # about 1.09e9 pairs in range on the default grid, and every pair of
+    # 20,000 nodes on a 10 m grid: past the cap of 10^8
+    ("rate.rt = 0\nnode_count = 300000", "node_count"),
+    ("node_count = 20000\ngrid.width = 10\ngrid.height = 10", "node_count"),
 ]
 
 
@@ -278,7 +282,11 @@ def test_node_count_at_the_cap_reaches_the_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run", no_run)
     scenario = tmp_path / "scenario.txt"
-    scenario.write_text("rate.rt = 0\nrate.nrt = 0\nnode_count = 300000\n")
+    # a 100 km grid keeps the pairs in range under their own cap
+    scenario.write_text(
+        "grid.width = 100000\ngrid.height = 100000\n"
+        "rate.rt = 0\nrate.nrt = 0\nnode_count = 300000\n"
+    )
     with pytest.raises(Reached) as reached:
         main(["--config", str(scenario), "--out", str(tmp_path), "--quiet"])
     assert reached.value.args == (300000,)

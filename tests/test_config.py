@@ -201,14 +201,40 @@ class TestHelpers:
 
     def test_node_count_is_capped(self):
         # checked on the config only: set-up at the cap holds about 1 GB.
-        # With no traffic, no other bound applies to node_count.
+        # With no traffic, and on a grid sparse enough for the pair bound,
+        # no other bound applies to node_count.
         cap = config.MAX_NODE_COUNT
-        text = "rate.rt = 0\nrate.nrt = 0\nnode_count = "
+        text = (
+            "grid.width = 100000\ngrid.height = 100000\n"
+            "rate.rt = 0\nrate.nrt = 0\nnode_count = "
+        )
         assert parse_config(text + str(cap)).node_count == cap
         with pytest.raises(ConfigError, match="^node_count: must be <= 300000"):
             parse_config(text + str(cap + 1))
         with pytest.raises(ConfigError, match="^node_count: "):
             parse_config(text + "100000000")
+
+    @pytest.mark.parametrize(
+        "grid, under, over",
+        [
+            # every pair in range: C(14142, 2) = 99,991,011 and
+            # C(14143, 2) = 100,005,153
+            ("grid.width = 10\ngrid.height = 10", 14142, 14143),
+            # a grid area that underflows to 0 puts every pair in range
+            ("grid.width = 1e-200\ngrid.height = 1e-200", 14142, 14143),
+            # the default grid, about 2.4% of it in reach of a node:
+            # about 9.8e7 pairs at 90,000 nodes and 1.09e8 at 95,000
+            ("", 90_000, 95_000),
+        ],
+        ids=["all_in_range", "area_underflows", "default_density"],
+    )
+    def test_pairs_in_range_are_capped(self, grid, under, over):
+        # checked on the config only: each pair in range holds at most one
+        # allowed-neighbor entry at set-up
+        text = f"{grid}\nrate.rt = 0\nrate.nrt = 0\nnode_count = "
+        assert parse_config(text + str(under)).node_count == under
+        with pytest.raises(ConfigError, match="^node_count: .* expected pairs in range"):
+            parse_config(text + str(over))
 
     def test_timeline_bucket_count_is_capped(self):
         # checked on the config only: a run this fine would write a million

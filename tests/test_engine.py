@@ -364,14 +364,14 @@ def chain_cfg(**kw):
 class TestChainForwarding:
     def test_two_hop_traces_and_progress(self):
         sim = Simulation(chain_cfg())
-        m, packets = run_with_deliveries(sim)
+        m, _packets, traces = run_with_deliveries(sim)
         assert m.delivered_total() > 1000
-        for p in packets[:200]:
-            ids = [nid for nid, _ in p.hop_trace]
+        for trace in traces[:200]:
+            ids = [nid for nid, _ in trace]
             assert ids == [2, 1, 0]
             dists = [sim.topology.distance_to_sink(nid) for nid in ids]
             assert dists == sorted(dists, reverse=True)
-            times = [t for _, t in p.hop_trace]
+            times = [t for _, t in trace]
             assert times == sorted(times)
 
     def test_deterministic_tandem_relay_never_queues(self):
@@ -382,7 +382,7 @@ class TestChainForwarding:
         assert m.mean_wait(1, TrafficClass.RT) == 0.0
 
     def test_within_class_fifo_on_the_path(self):
-        _m, packets = run_with_deliveries(Simulation(chain_cfg(duration=5.0)))
+        _m, packets, _traces = run_with_deliveries(Simulation(chain_cfg(duration=5.0)))
         ids = [p.packet_id for p in packets]
         assert ids == sorted(ids)
 
@@ -438,8 +438,8 @@ class TestPriorityService:
         assert node.queues.in_service is nrt
         classify_enqueue(node.queues, rt)  # higher priority arrives mid-service
         assert node.queues.in_service is nrt
-        _m, packets = run_with_deliveries(sim)
-        order = [(p.packet_id, p.hop_trace[-1][1]) for p in packets]
+        _m, packets, traces = run_with_deliveries(sim)
+        order = [(p.packet_id, trace[-1][1]) for p, trace in zip(packets, traces)]
         assert [pid for pid, _ in order] == [0, 1]
         assert order[0][1] == pytest.approx(SERVICE, abs=1e-12)
         assert order[1][1] == pytest.approx(2 * SERVICE, abs=1e-12)
@@ -679,9 +679,9 @@ class TestDeliveryRecords:
         ids=["chain", "short_last_row", "death", "uneven_bucket"],
     )
     def test_timeline_matches_bisected_delivery_times(self, cfg):
-        m, packets = run_with_deliveries(Simulation(cfg))
+        m, packets, traces = run_with_deliveries(Simulation(cfg))
         assert len(packets) > 5
-        delivered_at = [p.hop_trace[-1][1] for p in packets]
+        delivered_at = [trace[-1][1] for trace in traces]
         assert cli.timeline_rows(cfg.seed, cfg, m) == timeline_oracle(
             cfg.seed, cfg, m, delivered_at
         )
@@ -897,7 +897,7 @@ class TestArrivalRule:
         sim = Simulation(chain_cfg(rate_rt=1.0, duration=100.0))
         for st in sim.nodes.values():
             st.queues.rt, st.queues.nrt = NoAppend(), NoAppend()
-        m, packets = run_with_deliveries(sim)
+        m, packets, traces = run_with_deliveries(sim)
         assert enqueue_calls["enqueue"] == 0
         assert len(packets) == m.generated_total() > 50
         # each packet was served at once at the head and at the relay
@@ -905,8 +905,8 @@ class TestArrivalRule:
             {(2, TrafficClass.RT): len(packets), (1, TrafficClass.RT): len(packets)}
         )
         assert all(total == 0.0 for total in m.wait_sum.values())
-        for p in packets:
-            times = [t for _nid, t in p.hop_trace]
+        for trace in traces:
+            times = [t for _nid, t in trace]
             assert times[1] - times[0] == pytest.approx(SERVICE, abs=1e-12)
             assert times[2] - times[1] == pytest.approx(SERVICE, abs=1e-12)
 
@@ -1298,18 +1298,17 @@ def test_link_state_is_built_once_per_link(monkeypatch):
 
 
 def test_invariant_checks_run_under_python_O():
-    # a hop trace that moves away from the sink, a leaky battery debit and a
+    # an allowed neighbor no closer to the sink, a leaky battery debit and a
     # packet that leaves without being counted must each stop the run even
-    # when asserts are compiled out
+    # when asserts are compiled out. Every node reads as equally far from
+    # the sink, so the set-up check fails whatever order it looks them up in.
     cases = [
         (
             """
-            import itertools
             from wsnqos.geometry import Topology
-            rising = itertools.count()
-            Topology.distance_to_sink = lambda self, node_id: float(next(rising))
+            Topology.distance_to_sink = lambda self, node_id: 1.0
             """,
-            "RuntimeError: hop trace of packet 0 moved away from the sink",
+            "RuntimeError: allowed neighbor 0 of node 1 is no closer to the sink",
         ),
         (
             "from wsnqos.energy import Battery\n"

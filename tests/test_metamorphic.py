@@ -1,0 +1,88 @@
+"""Metamorphic relations: exact relations between two whole runs.
+
+Weight scaling. A candidate's cost is alpha * delay + beta / usable +
+gamma / prr. Multiplying alpha, beta and gamma by one power of two
+multiplies each term, and so each cost, by it exactly, unless a value
+overflows or turns subnormal. Every comparison between costs then comes
+out the same, so every decision, and both CSVs, stay byte-identical. A
+scale that is not a power of two may reorder near-ties; that is expected,
+not a defect.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_benchmark_outputs import WORKLOADS
+
+from wsnqos.cli import main
+from wsnqos.config import parse_config
+
+WEIGHTS = ("alpha", "beta", "gamma")
+SCALES = (0.25, 0.5, 2.0, 4.0)
+
+
+def csv_bytes(text):
+    """The bytes of metrics.csv and timeline.csv of one CLI run of `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(path), "--out", tmp, "--quiet"]) == 0
+        return tuple(
+            (Path(tmp) / f"{name}.csv").read_bytes() for name in ("metrics", "timeline")
+        )
+
+
+def with_weights_scaled(text, scale):
+    """`text` with its cost weights multiplied by `scale`; a later line
+    overrides an earlier one."""
+    cfg = parse_config(text)
+    return text + "".join(
+        f"{key} = {getattr(cfg, key) * scale!r}\n" for key in WEIGHTS
+    )
+
+
+weight = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenario text of at most 60 nodes and 3 simulated seconds."""
+    weights = draw(
+        st.tuples(weight, weight, weight).filter(lambda w: any(v > 0.0 for v in w))
+    )
+    lines = [
+        f"node_count = {draw(st.integers(2, 60))}",
+        f"grid.width = {draw(st.integers(80, 400))}",
+        f"grid.height = {draw(st.integers(80, 400))}",
+        f"rate.rt = {draw(st.floats(0.0, 30.0))!r}",
+        f"rate.nrt = {draw(st.floats(0.0, 30.0))!r}",
+        f"loss = {draw(st.sampled_from([0.0, 0.1, 0.3]))}",
+        f"deadline.rt = {draw(st.sampled_from([0.002, 0.004, 0.05]))}",
+        f"deadline.nrt = {draw(st.sampled_from([0.02, 0.5]))}",
+        f"initial_energy = {draw(st.sampled_from([0.0005, 0.002, 2.0]))}",
+        f"queue_capacity = {draw(st.sampled_from([1, 4, 64]))}",
+        f"predictive_drop = {draw(st.sampled_from(['true', 'false']))}",
+        f"duration = {draw(st.floats(0.2, 3.0))!r}",
+        f"seed = {draw(st.integers(0, 2**32))}",
+        *(f"{key} = {value!r}" for key, value in zip(WEIGHTS, weights)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# the lossy_lifetime benchmark's keys with placement left to seed 11: 60
+# nodes, loss 0.2, tight deadlines and 29 sensor deaths, with packets lost on
+# links, at dead nodes, to no route and to the predictive check
+LOSSY_LIFETIME = "".join(
+    f"{key} = {value}\n" for key, value in WORKLOADS["lossy_lifetime"].keys.items()
+) + "seed = 11\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=small_scenarios(), scale=st.sampled_from(SCALES))
+@example(text=LOSSY_LIFETIME, scale=0.5)
+@example(text=LOSSY_LIFETIME, scale=2.0)
+@example(text=LOSSY_LIFETIME, scale=4.0)
+def test_power_of_two_weight_scaling_keeps_both_csvs(text, scale):
+    assert csv_bytes(text) == csv_bytes(with_weights_scaled(text, scale))

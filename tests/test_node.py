@@ -22,9 +22,9 @@ def mk_packet(pid, cls=TrafficClass.RT, created=0.0, deadline=10.0, source=1):
 
 
 class TestPacket:
-    def test_trace_starts_at_source(self):
+    def test_new_packet_arrived_at_its_creation(self):
         p = mk_packet(1, created=2.5, source=7)
-        assert p.hop_trace == [(7, 2.5)]
+        assert p.arrived_at == p.created_at == 2.5
 
     def test_deadline_after_creation_required(self):
         with pytest.raises(ValueError):
