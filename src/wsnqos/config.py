@@ -11,9 +11,8 @@ Key reference (defaults in parentheses):
     node_count (300)                          nodes including the sink;
                                               at most 300,000, and at most
                                               10^8 pairs expected in radio
-                                              range under uniform placement;
-                                              pinned positions clustered
-                                              tighter can hold more
+                                              range, pinned positions
+                                              counted from their cells
     sink.x, sink.y (grid center)              sink position
     position.<id> = x,y                       pin a sensor's position
     radio.e_elec_nj (50)                      electronics energy, nJ/bit
@@ -31,7 +30,6 @@ Key reference (defaults in parentheses):
     loss (0.0)                                uniform link loss probability
     loss.<from>.<to> = p                      per-directed-link override
     predictive_drop (true)                    drop packets that cannot make it
-    include_service_time (true)               add tx time to predicted delay
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
     timeline_bucket (duration / 100)          timeline.csv bucket width, s;
@@ -48,6 +46,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .energy import RadioParams, crossover_distance
+from .geometry import in_range_pair_bound
 from .node import RateEstimator
 from .routing import CostWeights
 
@@ -61,10 +60,10 @@ MAX_EXPECTED_PACKETS = 10**8
 # node, so at the cap they come to about 1 GB, as the arrivals at
 # MAX_EXPECTED_PACKETS do. Each allowed neighbor adds about 8 B more.
 MAX_NODE_COUNT = 300_000
-# node pairs a run expects within radio range, C(N, 2) x min(1, pi r^2 / (W H));
-# each gives at most one allowed-neighbor entry, about 8.5 B, so at the cap
-# they come to about 850 MB. The share assumes uniform placement: pinned
-# positions clustered tighter than that can still hold more pairs.
+# node pairs a run expects within radio range: the pairs among the pinned
+# sensors and the sink bounded from their cells, plus min(1, pi r^2 / (W H))
+# of each pair with an unpinned sensor. Each pair gives at most one
+# allowed-neighbor entry, about 8.5 B, so at the cap they come to about 850 MB.
 MAX_IN_RANGE_PAIRS = 10**8
 
 
@@ -143,7 +142,6 @@ class ScenarioConfig:
     loss: float = _key("loss", _parse_float, 0.0, 0, 1)
     link_loss: dict[tuple[int, int], float] = field(default_factory=dict)
     predictive_drop: bool = _key("predictive_drop", _parse_bool, True)
-    include_service_time: bool = _key("include_service_time", _parse_bool, True)
     rate_tau: float = _key("rate_tau", _parse_float, 1.0, 0, above=True)
     duration: float = _key("duration", _parse_float, 1000.0, 0)
     seed: int = _key("seed", _parse_int, 1, 0, 2**64 - 1)
@@ -192,16 +190,32 @@ class ScenarioConfig:
         self._validate_cross_field()
 
     def _validate_cross_field(self) -> None:
-        # a grid area that underflows to 0, or a reach that covers it,
-        # puts every pair in range
+        # A pair with an unpinned sensor is in range with the share of the
+        # grid that a radio disk covers; a grid area that underflows to 0,
+        # or a reach that covers it, puts every such pair in range. The
+        # pairs among the pinned sensors and the sink number at most
+        # C(p, 2), and only when that is too many are they bounded from
+        # their cells. A pin the checks below reject counts as unpinned.
+        pinned = [(self.sink_x, self.sink_y)] + [
+            (x, y)
+            for nid, (x, y) in self.positions.items()
+            if 1 <= nid < self.node_count
+            and 0.0 <= x <= self.grid_width
+            and 0.0 <= y <= self.grid_height
+        ]
         area = self.grid_width * self.grid_height
         reach = math.pi * self.radio_range * self.radio_range
         share = reach / area if 0.0 < area and reach < area else 1.0
-        pairs = self.node_count * (self.node_count - 1) // 2 * share
+        n, p = self.node_count, len(pinned)
+        unpinned = (n * (n - 1) // 2 - p * (p - 1) // 2) * share
+        pairs = unpinned + p * (p - 1) // 2
+        if not pairs <= MAX_IN_RANGE_PAIRS:
+            pairs = unpinned + in_range_pair_bound(pinned, self.radio_range)
         if not pairs <= MAX_IN_RANGE_PAIRS:
             raise ConfigError(
                 "node_count",
-                f"C(node_count, 2) x the share of the grid in radio range must be "
+                f"node pairs in radio range (pinned ones counted from their cells, "
+                f"the rest as the share of the grid in range) must be "
                 f"<= {MAX_IN_RANGE_PAIRS} expected pairs in range, got {pairs:.6g}",
             )
         for nid, (x, y) in self.positions.items():
@@ -232,14 +246,13 @@ class ScenarioConfig:
         sources = (
             self.node_count - 1 if self.sources is None else len(set(self.sources))
         )
-        try:
-            expected = (self.rate_rt + self.rate_nrt) * self.duration * sources
-        except OverflowError:
-            expected = math.inf
+        # per class, so a zero duration expects 0 packets at any rates
+        per_source = self.rate_rt * self.duration + self.rate_nrt * self.duration
+        expected = per_source * sources
         if not expected <= MAX_EXPECTED_PACKETS:
             raise ConfigError(
                 "rate.rt" if self.rate_rt >= self.rate_nrt else "rate.nrt",
-                f"(rate.rt + rate.nrt) x duration x sources must be <= "
+                f"(rate.rt x duration + rate.nrt x duration) x sources must be <= "
                 f"{MAX_EXPECTED_PACKETS} expected packets, got {expected}",
             )
         buckets = self.duration / self.timeline_bucket

@@ -366,12 +366,10 @@ class Simulation:
         self.radio = cfg.radio_params()
         self.weights = cfg.weights()
         # per-run constants: the service time x = size / bandwidth of every
-        # send, its square, the service term of the predicted delay (adding
-        # 0.0 leaves a non-negative delay unchanged) and the receive cost
+        # send, its square and the receive cost
         x = service_time(cfg.packet_bits, self.radio)
         self._x = x
         self._x2 = x * x
-        self._service = x if cfg.include_service_time else 0.0
         self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
         self.now = 0.0
         self._seq = 0
@@ -572,7 +570,7 @@ class Simulation:
         build_neighbor_table, min_finite_delay and select_next_hop give,
         with the same float operations in the same order: each candidate's
         predicted delay (the closed-form priority wait, inf when its queue
-        model is unstable, plus the service term) and its cost
+        model is unstable, plus the service time x) and its cost
         alpha*delay + beta/usable + gamma/prr (inf when usable <= 0 or
         prr <= 0). The lowest finite cost wins; ids ascend, so a strict
         comparison keeps the lowest id on ties. The predictive-drop check
@@ -590,7 +588,6 @@ class Simulation:
         links = node.links
         x = self._x
         x2 = self._x2
-        service = self._service
         rx_cost = self._rx_cost
         weights = self.weights
         alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
@@ -624,7 +621,7 @@ class Simulation:
                 delay = (
                     0.5 * (lam1 * x2 + lam2 * x2) / ((1.0 - rho1) * (1.0 - rho1 - rho2))
                 )
-            delay += service
+            delay += x
             if delay < min_delay:
                 min_delay = delay
             usable = battery.level - rx_cost

@@ -15,11 +15,14 @@ maps each occupied cell to its nodes, and a sender checks only the nodes in
 the cells its radio disk can touch. The allowed-neighbor predicate still
 decides every pair, so the neighbor lists are those of an all-pairs scan,
 at O(N) pair checks for a fixed node density instead of O(N^2).
+`in_range_pair_bound` reads the same cells to bound the pairs in range
+without checking any pair.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -116,6 +119,40 @@ def _cell_span(u: float) -> range:
     return range(math.floor(u - reach), math.floor(u + reach) + 1)
 
 
+def cell_side(radio_range: float, extent: float) -> float:
+    """Side of the cell grid for nodes whose coordinates are at most
+    `extent` in magnitude: the radio range, widened only for a range under
+    1e-8 of max(1, extent). Then |x / side| <= 1e8, so the margin in
+    _cell_span stays under 0.1 cell, and subnormal round-off is far below
+    it. Any side of at least the range keeps the argument in _cell_span.
+    """
+    return max(radio_range, 1e-8 * max(1.0, extent))
+
+
+def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -> int:
+    """An upper bound on the pairs of `points` (one or more, all finite)
+    within radio_range of each other, from the occupancy of Topology's cells
+    and no pair checks.
+
+    A point can be in range only of the points in the cells its _cell_span
+    reaches, so the bound is C(n, 2) for a cell of n points plus n * n' for
+    each two cells n and n' that reach each other.
+    """
+    extent = max(max(abs(x), abs(y)) for x, y in points)
+    cell = cell_side(radio_range, extent)
+    scaled = [(x / cell, y / cell) for x, y in points]
+    counts = Counter((math.floor(u), math.floor(v)) for u, v in scaled)
+    reached = 0
+    for u, v in scaled:
+        ys = _cell_span(v)
+        for cx in _cell_span(u):
+            for cy in ys:
+                reached += counts.get((cx, cy), 0)
+    # each point reaches itself once, and each other point of a pair that
+    # can be in range reaches it
+    return (reached - len(points)) // 2
+
+
 @dataclass(frozen=True)
 class Topology:
     """Immutable node placement: id -> position, plus sink id and radio range."""
@@ -142,17 +179,12 @@ class Topology:
             "_sink_dist",
             {nid: distance(p, sink_pos) for nid, p in self.positions.items()},
         )
-        extent = 1.0
+        extent = 0.0
         for nid, p in self.positions.items():
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"node {nid} has a non-finite position {p}")
             extent = max(extent, abs(p.x), abs(p.y))
-        # The cell side is the radio range, widened only for a range under
-        # 1e-8 of max(1, largest |coordinate|). Then |x / side| <= 1e8, so
-        # the margin in _cell_span stays under 0.1 cell, and subnormal
-        # round-off is far below it. Any side of at least the range keeps
-        # the argument in _cell_span.
-        cell = max(self.radio_range, 1e-8 * extent)
+        cell = cell_side(self.radio_range, extent)
         cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
         for nid, p in self.positions.items():
             key = (math.floor(p.x / cell), math.floor(p.y / cell))

@@ -2,9 +2,10 @@
 
 For each packet the sender enumerates its allowed neighbors (in radio range
 and closer to the sink than itself), predicts the per-hop delay from the
-neighbor's queue state (class-dependent priority wait, optionally plus the
-transmission time), reads the neighbor's usable energy and link reception
-rate, and scores each candidate with
+neighbor's queue state (class-dependent priority wait plus the transmission
+time, as SPEED times a hop from send to acknowledgement), reads the
+neighbor's usable energy and link reception rate, and scores each
+candidate with
 
     cost = alpha * delay + beta * (1 / energy) + gamma * (1 / prr)
 
@@ -22,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy import RadioParams
+from .energy import RadioParams, rx_energy
 # the engine calls hops_linear through this module, where perfbench/tracer.py
 # wraps it
 from .geometry import Position, hops_linear  # noqa: F401
-from .node import TrafficClass
+from .node import TrafficClass, service_time
 from .queueing import QueueModelParams, UnstableError, wait_nrt, wait_rt
 
 
@@ -80,12 +81,11 @@ def link_cost(
 
 
 def predicted_hop_delay(
-    packet_cls: TrafficClass,
-    params: QueueModelParams,
-    service_time: float,
-    include_service_time: bool = True,
+    packet_cls: TrafficClass, params: QueueModelParams, service_time: float
 ) -> float:
-    """Class-dependent mean wait at the neighbor, plus its transmission time.
+    """Class-dependent mean wait at the neighbor plus the packet's own
+    transmission time `service_time`: the time from handing the packet to
+    the neighbor until that neighbor has sent it on.
 
     Returns +inf when the neighbor's queue model is unstable.
     """
@@ -96,9 +96,7 @@ def predicted_hop_delay(
             wait = wait_nrt(params)
     except UnstableError:
         return math.inf
-    if include_service_time:
-        wait += service_time
-    return wait
+    return wait + service_time
 
 
 def build_neighbor_table(
@@ -108,16 +106,13 @@ def build_neighbor_table(
     packet_bits: int,
     radio: RadioParams,
     weights: CostWeights,
-    include_service_time: bool = True,
 ) -> list[NeighborEntry]:
     """Score every candidate (already filtered to the allowed region)."""
-    service = packet_bits / radio.bandwidth
-    rx_cost = packet_bits * radio.e_elec
+    service = service_time(packet_bits, radio)
+    rx_cost = rx_energy(packet_bits, radio)
     table = []
     for cand in candidates:
-        delay = predicted_hop_delay(
-            packet_cls, cand.queue_params, service, include_service_time
-        )
+        delay = predicted_hop_delay(packet_cls, cand.queue_params, service)
         usable = cand.residual_energy - rx_cost
         table.append(
             NeighborEntry(

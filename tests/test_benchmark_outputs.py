@@ -3,8 +3,9 @@
 The benchmark compares every op's CSV hashes with the recorded digests.
 This runs pool seed 1 of each workload, and lossy_lifetime seed 14, where
 a receive debit kills a relay mid-service, through `cli.main`, so an output
-change fails here before the benchmark runs. It reads perfbench/ and writes
-only under tmp_path.
+change fails here before the benchmark runs. It also checks that each
+workload's fully pinned layout parses, far under the config's cap on pairs
+in radio range. It reads perfbench/ and writes only under tmp_path.
 """
 
 import hashlib
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from wsnqos import cli
+from wsnqos.config import MAX_IN_RANGE_PAIRS, parse_config
+from wsnqos.geometry import in_range_pair_bound
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +55,12 @@ def test_cli_outputs_match_recorded_digests(tmp_path, name, seed):
         for kind in ("metrics", "timeline")
     }
     assert digests == recorded["seeds"][str(seed)]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_pinned_workloads_are_far_under_the_pair_cap(name):
+    # every sensor is pinned, so the cells bound every pair in range
+    cfg = parse_config(WORKLOADS[name].config_text(1))
+    assert len(cfg.positions) == cfg.node_count - 1
+    pinned = [(cfg.sink_x, cfg.sink_y), *cfg.positions.values()]
+    assert in_range_pair_bound(pinned, cfg.radio_range) < 10**-3 * MAX_IN_RANGE_PAIRS

@@ -233,7 +233,8 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, line):
 # a creation time, a packet too big for a float and a zero-length packet, an
 # infinite service time, a rate averaging time whose inverse overflows, too
 # many timeline rows, more expected packets than set-up can draw, and more
-# nodes than set-up can hold.
+# nodes or pairs in range than set-up can hold. Then inputs that no other
+# test rejects, and a retired key.
 REJECTED_INPUTS = [
     ("radio.e_elec_nj = 1e-320", "radio: e_elec"),
     ("radio.eps_amp_pj = 1e-320", "radio: eps_amp"),
@@ -254,6 +255,17 @@ REJECTED_INPUTS = [
     # 20,000 nodes on a 10 m grid: past the cap of 10^8
     ("rate.rt = 0\nnode_count = 300000", "node_count"),
     ("node_count = 20000\ngrid.width = 10\ngrid.height = 10", "node_count"),
+    # 19,999 sensors pinned in a 10 m x 20 m patch of a 100 km grid: about
+    # 480 pairs in range under uniform placement, but all 2e8 of them are
+    ("grid.width = 100000\ngrid.height = 100000\nrate.rt = 0\nnode_count = 20000\n"
+     + "\n".join(f"position.{1 + i} = {1000 + i // 200 * 0.1!r},{i % 200 * 0.1!r}"
+                 for i in range(19_999)),
+     "node_count"),
+    ("sink.y = 2000", "sink.y"),
+    ("position.1 = 5", "position.1"),
+    ("loss.1 = 0.5", "loss.1"),
+    # retired: a hop's predicted delay always includes its transmission time
+    ("include_service_time = false", "include_service_time"),
 ]
 
 
@@ -270,6 +282,18 @@ def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
     assert main(["--config", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("rates", ["rate.rt = 1e308\nrate.nrt = 1e308",
+                                   "rate.rt = 1e308\nrate.nrt = 0"])
+def test_zero_duration_runs_whatever_the_rates(tmp_path, rates):
+    # each class expects rate x 0 = 0 packets; the sum of the two rates
+    # overflows to inf, and inf x 0 would be nan
+    path = tmp_path / "scenario.txt"
+    path.write_text(ONE_PACKET_SCENARIO + rates + "\nduration = 0\n")
+    assert main(["--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    header, rows = read_rows(tmp_path / "metrics.csv")
+    assert dict(zip(header, rows[0]))["generated"] == "0"
 
 
 def test_node_count_at_the_cap_reaches_the_run(tmp_path, monkeypatch):

@@ -139,6 +139,17 @@ class TestRoundTrip:
         ]
         assert missing == []
 
+    def test_key_reference_lists_exactly_the_parsed_keys(self):
+        # the left column of each entry, defaults in parentheses and a
+        # `= value` form dropped; continuation lines leave it blank
+        block = config.__doc__.split("Key reference")[1].split("\n\n", 2)[1]
+        documented = set()
+        for line in block.splitlines():
+            column = re.split(r"\s{2,}", line.strip())[0] if line[4] != " " else ""
+            column = re.sub(r"\([^)]*\)", "", column).split("=")[0]
+            documented.update(key.strip() for key in column.split(",") if key.strip())
+        assert documented == set(_SCALAR_KEYS) | {"position.<id>", "loss.<from>.<to>"}
+
 
 class TestLoadConfig:
     def test_load_from_file(self, tmp_path):
@@ -235,6 +246,23 @@ class TestHelpers:
         assert parse_config(text + str(under)).node_count == under
         with pytest.raises(ConfigError, match="^node_count: .* expected pairs in range"):
             parse_config(text + str(over))
+
+    @pytest.mark.parametrize("k, accepted", [(14142, True), (14143, False)])
+    def test_pinned_pairs_are_counted_from_their_cells(self, k, accepted):
+        # checked on the config only. k sensors pinned within 2 m of each
+        # other, far from the sink, hold all C(k, 2) of their pairs in range:
+        # 99,991,011 at 14,142 and 100,005,153 at 14,143. Under uniform
+        # placement the bound would count about 240 of them.
+        text = "grid.width = 100000\ngrid.height = 100000\nrate.rt = 0\nrate.nrt = 0\n"
+        text += f"node_count = {k + 1}\n" + "".join(
+            f"position.{1 + i} = {10 + i % 120 / 100},{10 + i // 120 / 100}\n"
+            for i in range(k)
+        )
+        if accepted:
+            assert len(parse_config(text).positions) == k
+        else:
+            with pytest.raises(ConfigError, match="^node_count: .* expected pairs in range"):
+                parse_config(text)
 
     def test_timeline_bucket_count_is_capped(self):
         # checked on the config only: a run this fine would write a million

@@ -766,6 +766,27 @@ class TestExpiry:
         # predictive dropping saves the energy of transmitting doomed packets
         assert with_pred.total_energy <= without.total_energy
 
+    def test_allowed_area_that_underflows_disables_the_predictive_drop(self):
+        # sensors 1e-170 and 5e-171 m from the sink: each allowed area is
+        # pi * d^2, which underflows to 0, so neither has a hop estimate
+        cfg = ScenarioConfig(
+            node_count=3,
+            sink_x=0.0,
+            sink_y=0.0,
+            positions={1: (1e-170, 0.0), 2: (5e-171, 0.0)},
+            duration=10.0,
+        )
+        sim = Simulation(cfg)
+        assert allowed_area(sim.topology.positions[2], sim.topology.positions[SINK_ID],
+                            cfg.radio_range) == 0.0
+        m = sim.run()
+        assert m.generated_total() > 50
+        assert m.delivered_total() == m.generated_total()
+        # keyed by the count of alive allowed neighbors: 1 sees the sink and
+        # 2, and 2 sees the sink
+        assert sim.nodes[1].hops_by_alive == {2: 0}
+        assert sim.nodes[2].hops_by_alive == {1: 0}
+
 
 class QueueEveryArrival(Simulation):
     """Oracle for the arrival rule: every arriving packet joins its class
@@ -947,13 +968,7 @@ def reference_route(sim, node, packet):
     sender_pos = sim.topology.positions[node.node_id]
     sink_pos = sim.topology.positions[SINK_ID]
     table = build_neighbor_table(
-        sender_pos,
-        packet.cls,
-        views,
-        cfg.packet_bits,
-        sim.radio,
-        sim.weights,
-        cfg.include_service_time,
+        sender_pos, packet.cls, views, cfg.packet_bits, sim.radio, sim.weights
     )
     if cfg.predictive_drop:
         area = allowed_area(sender_pos, sink_pos, cfg.radio_range)
@@ -1039,31 +1054,30 @@ class TestRouteMatchesReference:
         rng = random.Random(4242)
         seen = Counter()
         trials = 0
-        for include_service_time in (True, False):
-            sim = self.sim(include_service_time=include_service_time)
-            node = sim.nodes[self.SENDER]
-            for i in range(800):
-                sim.now = rng.uniform(0.0, 10.0)
-                self.randomize(sim, rng)
-                cls = rng.choice(list(TrafficClass))
-                packet = Packet(
-                    i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
-                )
-                expected, table = reference_route(sim, node, packet)
-                assert sim._route(node, packet) == expected
-                trials += 1
-                seen[expected if isinstance(expected, DropCause) else "hop"] += 1
-                seen[cls] += 1
-                seen["sink chosen"] += expected == SINK_ID
-                seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
-                seen["usable <= 0"] += any(e.usable_energy <= 0.0 for e in table)
-                seen["prr = 0"] += any(e.prr == 0.0 for e in table)
-                seen["dead"] += len(table) < len(node.allowed)
-                costs = [e.cost for e in table if math.isfinite(e.cost)]
-                seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
-            # the sender keeps one hop estimate per alive-neighbor count, so
-            # the trials above checked both new and kept estimates
-            assert len(node.hops_by_alive) >= 3, node.hops_by_alive
+        sim = self.sim()
+        node = sim.nodes[self.SENDER]
+        for i in range(1600):
+            sim.now = rng.uniform(0.0, 10.0)
+            self.randomize(sim, rng)
+            cls = rng.choice(list(TrafficClass))
+            packet = Packet(
+                i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
+            )
+            expected, table = reference_route(sim, node, packet)
+            assert sim._route(node, packet) == expected
+            trials += 1
+            seen[expected if isinstance(expected, DropCause) else "hop"] += 1
+            seen[cls] += 1
+            seen["sink chosen"] += expected == SINK_ID
+            seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
+            seen["usable <= 0"] += any(e.usable_energy <= 0.0 for e in table)
+            seen["prr = 0"] += any(e.prr == 0.0 for e in table)
+            seen["dead"] += len(table) < len(node.allowed)
+            costs = [e.cost for e in table if math.isfinite(e.cost)]
+            seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
+        # the sender keeps one hop estimate per alive-neighbor count, so the
+        # trials above checked both new and kept estimates
+        assert len(node.hops_by_alive) >= 3, node.hops_by_alive
         assert trials >= 1000
         for case in (
             "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, TrafficClass.RT,
@@ -1113,37 +1127,35 @@ class TestRouteMatchesReference:
         # decide as reference_route does, which calls rate_at() and prr()
         rng = random.Random(977)
         seen = Counter()
-        for include_service_time in (True, False):
-            sim = self.sim(include_service_time=include_service_time,
-                           rate_tau=0.01, prr_window=8)
-            node = sim.nodes[self.SENDER]
-            for i in range(600):
-                sim.now = rng.uniform(0.0, 10.0)
-                self.randomize_history(sim, rng)
-                cls = rng.choice(list(TrafficClass))
-                packet = Packet(
-                    i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
-                )
-                expected, table = reference_route(sim, node, packet)
-                assert sim._route(node, packet) == expected
-                seen[expected if isinstance(expected, DropCause) else "hop"] += 1
-                seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
-                for st in node.allowed:
-                    if not st.battery.alive:
-                        continue
-                    for est in (st.rate_rt, st.rate_nrt):
-                        if est.last_arrival == sim.now:
-                            seen["gap = 0"] += 1
-                        elif est.level > 0.0:
-                            seen["decayed"] += 1
-                    link = node.links.get(st.node_id)
-                    if link is None:
-                        seen["no link"] += 1
-                    else:
-                        sent = link.stats.sent_count
-                        seen["empty window" if sent == 0 else
-                             "full window" if sent == sim.cfg.prr_window else
-                             "partial window"] += 1
+        sim = self.sim(rate_tau=0.01, prr_window=8)
+        node = sim.nodes[self.SENDER]
+        for i in range(1200):
+            sim.now = rng.uniform(0.0, 10.0)
+            self.randomize_history(sim, rng)
+            cls = rng.choice(list(TrafficClass))
+            packet = Packet(
+                i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
+            )
+            expected, table = reference_route(sim, node, packet)
+            assert sim._route(node, packet) == expected
+            seen[expected if isinstance(expected, DropCause) else "hop"] += 1
+            seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
+            for st in node.allowed:
+                if not st.battery.alive:
+                    continue
+                for est in (st.rate_rt, st.rate_nrt):
+                    if est.last_arrival == sim.now:
+                        seen["gap = 0"] += 1
+                    elif est.level > 0.0:
+                        seen["decayed"] += 1
+                link = node.links.get(st.node_id)
+                if link is None:
+                    seen["no link"] += 1
+                else:
+                    sent = link.stats.sent_count
+                    seen["empty window" if sent == 0 else
+                         "full window" if sent == sim.cfg.prr_window else
+                         "partial window"] += 1
         for case in (
             "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, "unstable", "gap = 0",
             "decayed", "no link", "empty window", "partial window", "full window",

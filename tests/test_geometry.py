@@ -17,6 +17,7 @@ from wsnqos.geometry import (
     delta,
     distance,
     hops_linear,
+    in_range_pair_bound,
     is_allowed_neighbor,
 )
 
@@ -239,6 +240,32 @@ def lattice(radio_range, span, origin=(0.0, 0.0)):
     ]
 
 
+# drawn nodes (x, y, ulps): a float coordinate is used as is, an integer k
+# is the cell multiple k * r moved by `ulps` ulps
+layout_nodes = st.lists(
+    st.tuples(
+        st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
+        st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
+        st.integers(-2, 2),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def layout_points(r, nodes):
+    """A node at the origin, then the drawn nodes at radio range r."""
+    def coord(c, ulps):
+        if isinstance(c, float):
+            return c
+        v = c * r
+        for _ in range(abs(ulps)):
+            v = math.nextafter(v, math.copysign(math.inf, ulps))
+        return v
+
+    return [(0.0, 0.0)] + [(coord(x, u), coord(y, -u)) for x, y, u in nodes]
+
+
 class TestCellIndexMatchesAllPairs:
     """Topology.allowed_neighbor_ids against the all-pairs scan."""
 
@@ -333,30 +360,76 @@ class TestCellIndexMatchesAllPairs:
         assert assert_matches_all_pairs(points, 50.0) > 0
 
     @settings(deadline=None)
-    @given(
-        r=st.floats(1e-3, 500.0),
-        nodes=st.lists(
-            st.tuples(
-                st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
-                st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
-                st.integers(-2, 2),
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-    )
+    @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes)
     def test_matches_all_pairs(self, r, nodes):
-        # integer coordinates are cell multiples k * r, moved by a few ulps
-        def coord(c, ulps):
-            if isinstance(c, float):
-                return c
-            v = c * r
-            for _ in range(abs(ulps)):
-                v = math.nextafter(v, math.copysign(math.inf, ulps))
-            return v
+        assert_matches_all_pairs(layout_points(r, nodes), r)
 
-        points = [(0.0, 0.0)] + [(coord(x, u), coord(y, -u)) for x, y, u in nodes]
-        assert_matches_all_pairs(points, r)
+
+def pairs_in_range(points, radio_range):
+    """Pairs of points within radio_range of each other, by the all-pairs scan."""
+    pos = [Position(x, y) for x, y in points]
+    return sum(
+        distance(a, pos[j]) <= radio_range
+        for i, a in enumerate(pos)
+        for j in range(i + 1, len(pos))
+    )
+
+
+def assert_pair_bound_holds(points, radio_range):
+    bound = in_range_pair_bound(points, radio_range)
+    in_range = pairs_in_range(points, radio_range)
+    # each pair in range gives at most one allowed entry
+    assert bound >= in_range >= assert_matches_all_pairs(points, radio_range)
+    return bound, in_range
+
+
+class TestInRangePairBound:
+    """in_range_pair_bound against the all-pairs scan, with no pair checks."""
+
+    def test_no_pair_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pair was checked")
+
+        monkeypatch.setattr(geometry, "is_allowed_neighbor", refuse)
+        monkeypatch.setattr(geometry, "distance", refuse)
+        assert in_range_pair_bound([(0.0, 0.0), (1.0, 0.0), (500.0, 0.0)], 10.0) == 1
+
+    def test_clustered_layout_is_counted_in_full(self):
+        # 200 points in a 1 m patch, in range of each other, and one far away
+        rng = np.random.default_rng(5)
+        points = [(float(x), float(y)) for x, y in rng.uniform(100.0, 101.0, (200, 2))]
+        points.append((900.0, 900.0))
+        assert assert_pair_bound_holds(points, 10.0) == (199 * 200 // 2,) * 2
+
+    def test_uniform_layout_is_counted_near_its_pairs(self):
+        # the default density: 300 points on 1000 m x 1000 m, range 87.7 m
+        rng = np.random.default_rng(7)
+        points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 1e3, (300, 2))]
+        bound, in_range = assert_pair_bound_holds(points, 87.70580193070293)
+        # a 3 x 3 block of cells covers 9 / pi of a radio disk
+        assert bound < 4 * in_range
+
+    @pytest.mark.parametrize("r", [10.0, 1.0 / 3.0])
+    def test_points_on_cell_edges(self, r):
+        points = lattice(r, 4)
+        points += [(math.nextafter(x, -math.inf), math.nextafter(y, math.inf))
+                   for x, y in lattice(r, 2)]
+        assert_pair_bound_holds(points, r)
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-320])
+    def test_range_far_below_the_coordinate_scale(self, r):
+        points = [(500.0, 0.0), (500.0, 1e-321), (500.0, 0.0 + 0.1 * r),
+                  (1e4, 1e4), (math.nextafter(1e4, 0.0), 1e4), (0.0, 0.0), (2e-321, 0.0)]
+        assert_pair_bound_holds(points, r)
+
+    @settings(deadline=None)
+    @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes, cluster=st.integers(0, 30))
+    def test_random_layouts(self, r, nodes, cluster):
+        # the cluster puts points within r / 10 of the first drawn one
+        points = layout_points(r, nodes)
+        x0, y0 = points[1]
+        points += [(x0 + i * r / 300, y0 - i * r / 300) for i in range(cluster)]
+        assert_pair_bound_holds(points, r)
 
 
 def test_cell_index_checks_few_pairs(monkeypatch):

@@ -90,13 +90,12 @@ seed = 5
 """,
         [],
     ),
-    # queue wait alone as the predicted delay, and no predictive drop
-    "no_service_no_predictive": (
+    # no predictive drop
+    "no_predictive": (
         """\
 node_count = 50
 grid.width = 350
 grid.height = 350
-include_service_time = false
 predictive_drop = false
 deadline.rt = 0.004
 rate.rt = 15
@@ -147,7 +146,7 @@ GOLDEN = {
         "5766becaf2a51de2fc73181590e4323c7402cc63dd975a070801c3a35be17625",
         "2da6eab33f92aac8d29b3a2c4ea616516fb9e4342102d173d4065ab48cb53eca",
     ),
-    "no_service_no_predictive": (
+    "no_predictive": (
         "92da978ca376d464e81691d27b5db1d7379b4d3211b9908cd200759a43771833",
         "2086dd3919d4fc9d30ecefc95810cf5471af6ad72fa706acf038a9efc467e02c",
     ),

@@ -161,12 +161,6 @@ class TestPredictedDelay:
         assert predicted_hop_delay(TrafficClass.RT, loads(), X) == X
         assert predicted_hop_delay(TrafficClass.NRT, loads(), X) == X
 
-    def test_waiting_time_only_toggle(self):
-        assert (
-            predicted_hop_delay(TrafficClass.RT, loads(), X, include_service_time=False)
-            == 0.0
-        )
-
     def test_unstable_maps_to_infinity(self):
         params = loads(rate_rt=3000.0)  # rho1 = 1.2
         assert predicted_hop_delay(TrafficClass.RT, params, X) == math.inf
