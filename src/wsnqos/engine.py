@@ -2,8 +2,13 @@
 
 One run owns an event calendar keyed by (time, sequence), per-node state
 (battery, dual priority queues, arrival-rate estimates, and one record per
-outgoing link that has carried a send) and a metrics ledger. Every
-stochastic stream (placement, each source's per-class traffic, each
+outgoing link that has carried a send) and a metrics ledger. The calendar
+has two parts: a heap holds each traffic stream's next arrival, and the
+ends of sends ride a FIFO. Every send lasts the same transmission time x
+and starts at the current time, which never decreases, so sends end in the
+order they start.
+
+Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
 seed by a stable label, so identical (config, seed) pairs reproduce
 bit-identical results and changing one stream never perturbs the others.
@@ -26,7 +31,7 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -373,11 +378,14 @@ class Simulation:
         self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
         self.now = 0.0
         self._seq = 0
-        # events are (time, seq, node, cls, packet, target): a generation
-        # carries its class and no packet, the end of a send its packet and
-        # target. The unique seq breaks time ties in scheduling order, so the
-        # tuple comparison never reaches the later fields
+        # events are keyed by (time, seq); the unique seq breaks time ties in
+        # scheduling order, so no comparison reaches the later fields. The
+        # heap holds each stream's next generation, (time, seq, node, cls).
+        # The end of a send is (time, seq, node, packet, target); every send
+        # lasts x and starts now, which never decreases, so they are made in
+        # (time, seq) order and ride a FIFO. run() pops the smaller head
         self.heap: list[tuple] = []
+        self.completions: deque[tuple] = deque()
         self._timeline_points = cfg.timeline_points()
         self.metrics = Metrics(
             sensor_count=cfg.node_count - 1,
@@ -448,24 +456,30 @@ class Simulation:
             positions[nid] = Position(x, y)
         return Topology(positions, SINK_ID, cfg.radio_range)
 
-    def _push(self, time: float, node: int, cls: TrafficClass | None,
-              packet: Packet | None, target: int | None) -> None:
+    def _push(self, time: float, node: int, cls: TrafficClass) -> None:
         self._seq += 1
-        heapq.heappush(self.heap, (time, self._seq, node, cls, packet, target))
+        heapq.heappush(self.heap, (time, self._seq, node, cls))
 
     def _schedule_next_arrival(self, nid: int, cls: TrafficClass) -> None:
         time = next(self._arrivals[(nid, cls)], None)
         if time is not None:
-            self._push(time, nid, cls, None, None)
+            self._push(time, nid, cls)
 
     # -- main loop -----------------------------------------------------
 
     def run(self) -> Metrics:
         horizon = self.cfg.duration
         heap = self.heap
+        completions = self.completions
+        heappop = heapq.heappop
+        popleft = completions.popleft
         nodes = self.nodes
-        while heap:
-            time, _seq, nid, cls, packet, target = heapq.heappop(heap)
+        while heap or completions:
+            if completions and (not heap or completions[0] < heap[0]):
+                time, _seq, nid, packet, target = popleft()
+            else:
+                time, _seq, nid, cls = heappop(heap)
+                packet = None
             if time > horizon:
                 break
             if time < self.now:
@@ -548,7 +562,10 @@ class Simulation:
             node.wait_sum_nrt += wait
             node.waits_nrt += 1
         node.queues.in_service = packet
-        self._push(self.now + self._x, node.node_id, None, packet, decision)
+        self._seq += 1
+        self.completions.append(
+            (self.now + self._x, self._seq, node.node_id, packet, decision)
+        )
         return True
 
     def _try_start_service(self, node: NodeState) -> None:

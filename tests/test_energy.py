@@ -131,3 +131,25 @@ class TestBattery:
             assert b.residual == 0.0
             b.debit(rng.uniform(0.0, scale))
             assert b.residual == 0.0
+
+    @given(
+        initial=st.floats(1e-9, 10.0),
+        draws=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),  # a share of the initial charge
+                st.floats(0.0, 1e-6),
+                st.just("rest"),  # exactly what is left
+            ),
+            max_size=60,
+        ),
+    )
+    def test_stored_level_is_the_clamped_difference_bit_for_bit(self, initial, draws):
+        # the sign of zero included, so the stored level is the float that
+        # max(0.0, initial - consumed) gives, not merely one equal to it
+        b = Battery(initial)
+        for draw in draws:
+            b.debit(b.level if draw == "rest" else draw * initial)
+            expected = max(0.0, b.initial - b.consumed)
+            assert b.level == expected
+            assert math.copysign(1.0, b.level) == math.copysign(1.0, expected)
+            assert b.alive or b.level == 0.0

@@ -879,6 +879,74 @@ def test_idle_nodes_hold_no_packets_and_deaths_act_at_the_kill(name):
         assert sim.queued_at_kill > 0
 
 
+class EventOrderRecorder(Simulation):
+    """Notes each generation and each send completion as it is handled."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.handled = []  # ("generation" | "completion", time)
+
+    def _on_generated(self, nid, cls):
+        self.handled.append(("generation", self.now))
+        super()._on_generated(nid, cls)
+
+    def _deliver(self, sender, packet, target_id):
+        self.handled.append(("completion", self.now))
+        super()._deliver(sender, packet, target_id)
+
+
+class SortedCompletions(deque):
+    """A completion FIFO that fails on an append out of (time, seq) order."""
+
+    appends = 0
+
+    def append(self, event):
+        if self and not self[-1][:2] < event[:2]:
+            raise AssertionError(f"completion {event[:2]} after {self[-1][:2]}")
+        self.appends += 1
+        super().append(event)
+
+
+class CompletionOrderChecker(Simulation):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.completions = SortedCompletions()
+
+
+class TestEventCalendar:
+    """Generations ride a heap and send completions a FIFO; run() must
+    still handle every event in (time, seq) order."""
+
+    @pytest.mark.parametrize("generation_first", [True, False])
+    def test_time_ties_between_the_queues_go_in_seq_order(self, generation_first):
+        sim = EventOrderRecorder(two_node_cfg(rate_rt=0.0))
+        assert not sim.heap
+        node = sim.nodes[1]
+        at = sim.now + sim._x  # when a send started now ends
+        packet = Packet(0, TrafficClass.RT, 1, sim.now, 1.0)
+        sim.metrics.generated[TrafficClass.RT] += 1  # so the ledger closes
+        if generation_first:
+            sim._push(at, 1, TrafficClass.RT)
+        assert sim._serve(node, packet)
+        if not generation_first:
+            sim._push(at, 1, TrafficClass.RT)
+        assert sim.heap[0][0] == sim.completions[0][0] == at
+        sim.run()
+        expected = ["completion", "generation"]
+        if generation_first:
+            expected.reverse()
+        assert sim.handled[:2] == [(kind, at) for kind in expected]
+
+    @pytest.mark.parametrize("name", sorted(
+        [*GOLDEN_SCENARIOS, "lossy_lifetime_seed_11"]
+    ))
+    def test_completions_are_appended_in_order(self, name):
+        sim = CompletionOrderChecker(INVARIANT_SCENARIOS[name]())
+        m = sim.run()
+        # one completion per packet put on a radio, none of them out of order
+        assert sim.completions.appends == m.wait_count.total() > 0
+
+
 @pytest.fixture()
 def enqueue_calls(monkeypatch):
     """Counts the engine's classify_enqueue calls."""
@@ -1310,10 +1378,11 @@ def test_link_state_is_built_once_per_link(monkeypatch):
 
 
 def test_invariant_checks_run_under_python_O():
-    # an allowed neighbor no closer to the sink, a leaky battery debit and a
-    # packet that leaves without being counted must each stop the run even
-    # when asserts are compiled out. Every node reads as equally far from
-    # the sink, so the set-up check fails whatever order it looks them up in.
+    # an allowed neighbor no closer to the sink, a leaky battery debit, a
+    # packet that leaves without being counted and a send completion that
+    # ends before its send started must each stop the run even when asserts
+    # are compiled out. Every node reads as equally far from the sink, so
+    # the set-up check fails whatever order it looks them up in.
     cases = [
         (
             """
@@ -1339,6 +1408,20 @@ def test_invariant_checks_run_under_python_O():
             Simulation._drop = _drop
             """,
             "RuntimeError: packets do not add up",
+        ),
+        (
+            """
+            from wsnqos.engine import Simulation
+            serve = Simulation._serve
+            def _serve(self, node, packet):
+                served = serve(self, node, packet)
+                if served:
+                    time, *rest = self.completions.pop()
+                    self.completions.append((time - 1.0, *rest))
+                return served
+            Simulation._serve = _serve
+            """,
+            "RuntimeError: event calendar went backwards",
         ),
     ]
     src = str(Path(wsnqos.__file__).resolve().parent.parent)

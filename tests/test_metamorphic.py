@@ -7,6 +7,16 @@ overflows or turns subnormal. Every comparison between costs then comes
 out the same, so every decision, and both CSVs, stay byte-identical. A
 scale that is not a power of two may reorder near-ties; that is expected,
 not a defect.
+
+Horizon prefix. Nothing a run does up to a time T1 depends on how much
+later its horizon lies, so with the timeline bucket fixed, the timeline
+rows of a run to T1 are the first rows of the same run to any T2 > T1.
+Buckets here are powers of two, so each horizon is an exact multiple of
+its bucket and the T1 run's row times are the T2 run's first row times.
+A traffic stream that spills past its first chunk of arrival draws in the
+T1 run would break the relation (ROADMAP item 5); its last-bit shifts
+seldom reach a row, so the delay samples and deaths up to T1 are compared
+too.
 """
 
 import tempfile
@@ -16,8 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_benchmark_outputs import WORKLOADS
 
-from wsnqos.cli import main
+from wsnqos.cli import main, timeline_rows
 from wsnqos.config import parse_config
+from wsnqos.engine import run
 
 WEIGHTS = ("alpha", "beta", "gamma")
 SCALES = (0.25, 0.5, 2.0, 4.0)
@@ -86,3 +97,34 @@ LOSSY_LIFETIME = "".join(
 @example(text=LOSSY_LIFETIME, scale=4.0)
 def test_power_of_two_weight_scaling_keeps_both_csvs(text, scale):
     assert csv_bytes(text) == csv_bytes(with_weights_scaled(text, scale))
+
+
+@st.composite
+def horizons(draw):
+    """(bucket, k1, k2): a power-of-two timeline bucket and two horizons of
+    k1 < k2 buckets, the longer one at most 5 s."""
+    bucket = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    k2 = draw(st.integers(2, int(5.0 / bucket)))
+    return bucket, draw(st.integers(1, k2 - 1)), k2
+
+
+def run_to(text, bucket, k):
+    """Config and metrics of a run of `text` to k timeline buckets."""
+    cfg = parse_config(f"{text}timeline_bucket = {bucket!r}\nduration = {k * bucket!r}\n")
+    return cfg, run(cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=small_scenarios(), cut=horizons())
+@example(text=LOSSY_LIFETIME, cut=(0.5, 6, 10))
+def test_timeline_to_a_horizon_is_a_prefix_of_a_longer_run(text, cut):
+    bucket, k1, k2 = cut
+    (cfg1, m1), (cfg2, m2) = run_to(text, bucket, k1), run_to(text, bucket, k2)
+    short = timeline_rows(cfg1.seed, cfg1, m1)
+    long = timeline_rows(cfg2.seed, cfg2, m2)
+    assert len(short) == k1 < k2 == len(long)
+    assert short == long[:k1]
+    # finer than the rows: every delay sample and death up to T1, to the bit
+    for cls, delays in m1.delays.items():
+        assert delays.tobytes() == m2.delays[cls][: len(delays)].tobytes()
+    assert m1.deaths == [death for death in m2.deaths if death[0] <= cfg1.duration]

@@ -124,7 +124,9 @@ class TestSelectNextHop:
             min_size=1,
             max_size=20,
         ),
-        scale=st.floats(1e-3, 1e3),
+        # powers of two scale every cost exactly; another factor rounds,
+        # and may reorder a near-tie such as prr 0.01 against the next float
+        scale=st.integers(-10, 10).map(lambda k: 2.0**k),
     )
     def test_weight_scaling_never_changes_choice(self, data, scale):
         table = [entry(i, d, en, p) for i, (d, en, p) in enumerate(data)]
