@@ -98,9 +98,7 @@ class Battery:
             return 0.0
         if amount <= self.level:
             self.consumed += amount
-            # max(0.0, level) without the call: the same float, 0.0 for -0.0
-            level = self.initial - self.consumed
-            self.level = level if level > 0.0 else 0.0
+            self.level = max(0.0, self.initial - self.consumed)
             return amount
         drained = self.level
         self.consumed = self.initial
