@@ -590,15 +590,32 @@ class Simulation:
         model is unstable, plus the service time x) and its cost
         alpha*delay + beta/usable + gamma/prr (inf when usable <= 0 or
         prr <= 0). The lowest finite cost wins; ids ascend, so a strict
-        comparison keeps the lowest id on ties. The predictive-drop check
-        counts every alive candidate and takes the smallest finite delay
-        over all of them, whatever their cost; its hop estimate depends only
-        on the sender and that count, so each node keeps it per count.
+        comparison keeps the lowest id on ties.
+
+        A candidate's delay is at least x, since its wait is >= 0. IEEE
+        rounding is monotone and alpha >= 0, so alpha*x + beta/usable +
+        gamma/prr, summed in the cost's order, is never above its cost. The
+        pass takes beta/usable and gamma/prr first and defers, without its
+        rates or queue model, a candidate with usable <= 0 or prr <= 0 or
+        whose bound is >= the best cost so far: the strict comparison would
+        not pick it, and the best cost only falls.
+
+        The predictive-drop check counts every alive candidate; its hop
+        estimate depends only on the sender and that count, so each node
+        keeps it per count. The check runs first on the smallest delay of
+        the scored candidates. It is monotone in the delay, and the
+        smallest over all candidates is no larger, so when it keeps the
+        packet the full check keeps it too. Only when it would drop the
+        packet, or no scored candidate is stable, and a candidate was
+        deferred, does _min_hop_delay take the smallest delay over every
+        alive candidate; that pass tells a predictive drop from no_route
+        when no candidate has a finite cost.
 
         The pass makes no call per candidate. Its two arrival rates repeat
         RateEstimator.rate_at on the estimator's fields, with the same float
         operations in the same order, and its PRR is LinkStats.ratio, the
-        value LinkStats.prr returns.
+        value LinkStats.prr returns. A negative arrival rate is an error,
+        checked on each alive candidate's stored levels, deferred or not.
         """
         now = self.now
         exp = math.exp
@@ -608,8 +625,10 @@ class Simulation:
         rx_cost = self._rx_cost
         weights = self.weights
         alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
+        alpha_x = alpha * x
         is_rt = packet.cls is TrafficClass.RT
         alive = 0
+        deferred = False
         min_delay = math.inf
         best_cost = math.inf
         best = None
@@ -618,14 +637,27 @@ class Simulation:
             if not battery.alive:
                 continue
             alive += 1
-            est = st.rate_rt
-            gap = now - est.last_arrival
-            lam1 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
-            est = st.rate_nrt
-            gap = now - est.last_arrival
-            lam2 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
-            if lam1 < 0.0 or lam2 < 0.0:
-                raise ValueError(f"arrival rate must be >= 0, got {lam1}, {lam2}")
+            est1 = st.rate_rt
+            est2 = st.rate_nrt
+            level1 = est1.level
+            level2 = est2.level
+            if level1 < 0.0 or level2 < 0.0:
+                raise ValueError(f"arrival rate must be >= 0, got {level1}, {level2}")
+            usable = battery.level - rx_cost
+            link = links.get(st.node_id)
+            prr = 1.0 if link is None else link.stats.ratio
+            if usable <= 0.0 or prr <= 0.0:
+                deferred = True
+                continue
+            energy_term = beta / usable
+            prr_term = gamma / prr
+            if alpha_x + energy_term + prr_term >= best_cost:
+                deferred = True
+                continue
+            gap = now - est1.last_arrival
+            lam1 = level1 if gap <= 0.0 else level1 * exp(-gap / est1.tau)
+            gap = now - est2.last_arrival
+            lam2 = level2 if gap <= 0.0 else level2 * exp(-gap / est2.tau)
             rho1 = lam1 * x
             if is_rt:
                 if rho1 >= 1.0:
@@ -641,29 +673,69 @@ class Simulation:
             delay += x
             if delay < min_delay:
                 min_delay = delay
-            usable = battery.level - rx_cost
-            link = links.get(st.node_id)
-            prr = 1.0 if link is None else link.stats.ratio
-            if usable <= 0.0 or prr <= 0.0:
-                continue
-            cost = alpha * delay + beta / usable + gamma / prr
+            cost = alpha * delay + energy_term + prr_term
             if cost < best_cost:
                 best_cost = cost
                 best = st.node_id
         if alive == 0:
             return DropCause.NO_ROUTE
-        if self.cfg.predictive_drop and min_delay < math.inf:
+        if self.cfg.predictive_drop and (deferred or min_delay < math.inf):
             hops_by_alive = node.hops_by_alive
             if hops_by_alive is None:
                 hops_by_alive = node.hops_by_alive = {}
             hops = hops_by_alive.get(alive)
             if hops is None:
                 hops = hops_by_alive[alive] = self._hops_to_sink(node, alive)
-            if hops and not predictive_drop_check(packet.deadline, now, hops, min_delay):
-                return DropCause.PREDICTIVE
+            deadline = packet.deadline
+            if hops and not (
+                min_delay < math.inf
+                and predictive_drop_check(deadline, now, hops, min_delay)
+            ):
+                if deferred:
+                    min_delay = self._min_hop_delay(node, is_rt)
+                if min_delay < math.inf and not predictive_drop_check(
+                    deadline, now, hops, min_delay
+                ):
+                    return DropCause.PREDICTIVE
         if best is None:
             return DropCause.NO_ROUTE
         return best
+
+    def _min_hop_delay(self, node: NodeState, is_rt: bool) -> float:
+        """Smallest predicted delay over the node's alive allowed neighbors,
+        inf when none is stable: the delays _route computes, with the same
+        float operations, for the predictive drop when its pass deferred
+        candidates that may hold the smallest."""
+        now = self.now
+        exp = math.exp
+        x = self._x
+        x2 = self._x2
+        min_delay = math.inf
+        for st in node.allowed:
+            if not st.battery.alive:
+                continue
+            est = st.rate_rt
+            gap = now - est.last_arrival
+            lam1 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
+            est = st.rate_nrt
+            gap = now - est.last_arrival
+            lam2 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
+            rho1 = lam1 * x
+            if is_rt:
+                if rho1 >= 1.0:
+                    continue
+                delay = 0.5 * (lam1 * x2 + lam2 * x2) / (1.0 - rho1)
+            else:
+                rho2 = lam2 * x
+                if rho1 + rho2 >= 1.0:
+                    continue
+                delay = (
+                    0.5 * (lam1 * x2 + lam2 * x2) / ((1.0 - rho1) * (1.0 - rho1 - rho2))
+                )
+            delay += x
+            if delay < min_delay:
+                min_delay = delay
+        return min_delay
 
     def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
         target = self.nodes[target_id]
