@@ -1143,6 +1143,13 @@ class TestRouteMatchesReference:
             seen["dead"] += len(table) < len(node.allowed)
             costs = [e.cost for e in table if math.isfinite(e.cost)]
             seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
+            # _route skips the queue model of a candidate whose cost bound
+            # cannot win, and the smallest delay is often one of those
+            fastest = min(table, key=lambda e: e.predicted_delay, default=None)
+            seen["min delay not chosen"] += (
+                not isinstance(expected, DropCause)
+                and fastest.node_id != expected
+            )
         # the sender keeps one hop estimate per alive-neighbor count, so the
         # trials above checked both new and kept estimates
         assert len(node.hops_by_alive) >= 3, node.hops_by_alive
@@ -1150,7 +1157,7 @@ class TestRouteMatchesReference:
         for case in (
             "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, TrafficClass.RT,
             TrafficClass.NRT, "sink chosen", "unstable", "usable <= 0", "prr = 0",
-            "dead", "tie",
+            "dead", "tie", "min delay not chosen",
         ):
             assert seen[case] >= 20, (case, seen)
 
@@ -1237,6 +1244,136 @@ class TestRouteMatchesReference:
             packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
             with pytest.raises(ValueError, match="arrival rate"):
                 sim._route(sim.nodes[self.SENDER], packet)
+
+    def bound(self, sim, entry):
+        """alpha*x + beta/usable + gamma/prr of a table entry, in the order
+        _route sums its cost: never above that cost."""
+        w = sim.weights
+        return w.alpha * sim._x + w.beta / entry.usable_energy + w.gamma / entry.prr
+
+    @pytest.mark.parametrize("cls", list(TrafficClass))
+    def test_skipped_candidate_with_the_smallest_delay_decides_the_drop(self, cls):
+        # the sink wins on cost with a loaded queue; node 2 is idle, so it
+        # holds the smallest delay, but its battery is nearly flat, so its
+        # bound alone is above the sink's cost and _route skips its queue
+        # model. Keeping the packet turns on node 2's delay.
+        sim = self.sim()
+        sim.now = 1.0
+        node = sim.nodes[self.SENDER]
+        capacity = sim.radio.bandwidth / sim.cfg.packet_bits
+        sink, fast = sim.nodes[SINK_ID], sim.nodes[2]
+        sink.rate_rt = fixed_rate(sim, 0.9 * capacity)
+        sink.rate_nrt = fixed_rate(sim, 0.0)
+        fast.rate_rt = fixed_rate(sim, 0.0)
+        fast.rate_nrt = fixed_rate(sim, 0.0)
+        fast.battery = Battery(rx_energy(sim.cfg.packet_bits, sim.radio) + 1e-6)
+        for nid in (3, 4, 5, 6):
+            sim.nodes[nid].battery = Battery(1.0, alive=False)
+        _, table = reference_route(
+            sim, node, Packet(0, cls, self.SENDER, sim.now, sim.now + 1.0)
+        )
+        by_id = {e.node_id: e for e in table}
+        assert sorted(by_id) == [SINK_ID, 2]
+        assert self.bound(sim, by_id[2]) >= by_id[SINK_ID].cost
+        assert by_id[2].predicted_delay < by_id[SINK_ID].predicted_delay
+        hops = sim._hops_to_sink(node, len(table))
+        assert hops > 0
+        keep_by = sim.now + hops * by_id[2].predicted_delay
+        assert keep_by < sim.now + hops * by_id[SINK_ID].predicted_delay
+        for deadline, expected in (
+            (keep_by, SINK_ID),
+            (math.nextafter(keep_by, 0.0), DropCause.PREDICTIVE),
+        ):
+            packet = Packet(1, cls, self.SENDER, sim.now, deadline)
+            assert reference_route(sim, node, packet)[0] == expected
+            assert sim._route(node, packet) == expected
+
+    def test_idle_candidate_whose_bound_is_its_cost_still_wins(self):
+        # node 2 is idle, so its delay is exactly x and its bound equals its
+        # cost, which beats the loaded sink's by a quarter of alpha*x: the
+        # bound must not exceed the cost, or _route would skip the winner
+        sim = self.sim()
+        node = sim.nodes[self.SENDER]
+        capacity = sim.radio.bandwidth / sim.cfg.packet_bits
+        w = sim.weights
+        sink, idle = sim.nodes[SINK_ID], sim.nodes[2]
+        sink.rate_rt = fixed_rate(sim, 0.5 * capacity)
+        sink.rate_nrt = fixed_rate(sim, 0.0)
+        rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
+        idle.battery = Battery(w.beta / (0.25 * w.alpha * sim._x) + rx_cost)
+        for nid in (3, 4, 5, 6):
+            sim.nodes[nid].battery = Battery(1.0, alive=False)
+        for cls in TrafficClass:
+            packet = Packet(0, cls, self.SENDER, sim.now, sim.now + 1.0)
+            expected, table = reference_route(sim, node, packet)
+            by_id = {e.node_id: e for e in table}
+            assert by_id[2].predicted_delay == sim._x
+            assert self.bound(sim, by_id[2]) == by_id[2].cost < by_id[SINK_ID].cost
+            assert sim._route(node, packet) == expected == 2
+
+    def test_only_unusable_candidates_give_no_route_or_predictive(self):
+        # every alive candidate has usable <= 0 or PRR 0, so no cost is
+        # finite and _route scores none of them; the cause still depends on
+        # their delays, which only the predictive drop reads
+        rng = random.Random(2020)
+        seen = Counter()
+        sim = self.sim()
+        node = sim.nodes[self.SENDER]
+        capacity = sim.radio.bandwidth / sim.cfg.packet_bits
+        rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
+        for i in range(400):
+            sim.now = rng.uniform(0.0, 10.0)
+            node.links.clear()
+            for st in node.allowed:
+                st.rate_rt = fixed_rate(sim, rng.uniform(0.0, 1.1) * capacity)
+                st.rate_nrt = fixed_rate(sim, rng.uniform(0.0, 1.1) * capacity)
+                if st.node_id == SINK_ID or rng.random() < 0.5:
+                    st.battery = Battery(
+                        math.inf if st.node_id == SINK_ID else 1.0,
+                        alive=st.node_id == SINK_ID or rng.random() >= 0.2,
+                    )
+                    link = sim._new_link(node, st)
+                    for _ in range(rng.randint(1, 5)):
+                        link.stats.record_outcome(False)
+                else:
+                    st.battery = Battery(rng.choice([rx_cost * 0.5, rx_cost]))
+            cls = rng.choice(list(TrafficClass))
+            packet = Packet(
+                i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
+            )
+            expected, table = reference_route(sim, node, packet)
+            assert all(
+                e.usable_energy <= 0.0 or e.prr == 0.0 for e in table
+            ), table
+            assert sim._route(node, packet) == expected
+            seen[expected] += 1
+        assert set(seen) == {DropCause.NO_ROUTE, DropCause.PREDICTIVE}, seen
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("estimator", ["rate_rt", "rate_nrt"])
+    @pytest.mark.parametrize("skipped_by", ["bound", "usable <= 0", "prr = 0"])
+    def test_negative_arrival_rate_on_a_skipped_candidate_is_an_error(
+        self, estimator, skipped_by
+    ):
+        # node 2 is never scored: at full charge its bound is above the
+        # idle sink's cost, and its energy or PRR can rule it out first
+        sim = self.sim()
+        node = sim.nodes[self.SENDER]
+        skipped = sim.nodes[2]
+        if skipped_by == "usable <= 0":
+            skipped.battery = Battery(rx_energy(sim.cfg.packet_bits, sim.radio))
+        elif skipped_by == "prr = 0":
+            sim._new_link(node, skipped).stats.record_outcome(False)
+        packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
+        _, table = reference_route(sim, node, packet)
+        by_id = {e.node_id: e for e in table}
+        if skipped_by == "bound":
+            assert self.bound(sim, by_id[2]) >= by_id[SINK_ID].cost
+        else:
+            assert by_id[2].usable_energy <= 0.0 or by_id[2].prr == 0.0
+        getattr(skipped, estimator).level = -1.0
+        with pytest.raises(ValueError, match="arrival rate"):
+            sim._route(node, packet)
 
 
 # Battery.debit stand-ins that break the energy ledger.
@@ -1379,10 +1516,11 @@ def test_link_state_is_built_once_per_link(monkeypatch):
 
 def test_invariant_checks_run_under_python_O():
     # an allowed neighbor no closer to the sink, a leaky battery debit, a
-    # packet that leaves without being counted and a send completion that
-    # ends before its send started must each stop the run even when asserts
-    # are compiled out. Every node reads as equally far from the sink, so
-    # the set-up check fails whatever order it looks them up in.
+    # packet that leaves without being counted, a negative arrival-rate
+    # estimate and a send completion that ends before its send started must
+    # each stop the run even when asserts are compiled out. Every node reads
+    # as equally far from the sink, so the set-up check fails whatever order
+    # it looks them up in.
     cases = [
         (
             """
@@ -1408,6 +1546,17 @@ def test_invariant_checks_run_under_python_O():
             Simulation._drop = _drop
             """,
             "RuntimeError: packets do not add up",
+        ),
+        (
+            """
+            from wsnqos.node import RateEstimator
+            init = RateEstimator.__init__
+            def __init__(self, tau=1.0):
+                init(self, tau)
+                self.level = -1.0
+            RateEstimator.__init__ = __init__
+            """,
+            "ValueError: arrival rate must be >= 0",
         ),
         (
             """

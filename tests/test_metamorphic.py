@@ -17,9 +17,19 @@ A traffic stream that spills past its first chunk of arrival draws in the
 T1 run would break the relation (ROADMAP item 5); its last-bit shifts
 seldom reach a row, so the delay samples and deaths up to T1 are compared
 too.
+
+Isolated sensor. One more sensor, at the next id and pinned out of every
+node's radio range, is no one's neighbor and has none. Placement draws only
+for unpinned sensors, in id order, and every other stream is labelled by
+its own node or link, so nothing else changes: its packets all drop as
+no_route and every other count stays the same. Only the run's end time may
+move: a run stops on the event that kills its last source, the isolated
+source never dies, and its arrivals go on to the horizon.
 """
 
+import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -28,7 +38,7 @@ from test_benchmark_outputs import WORKLOADS
 
 from wsnqos.cli import main, timeline_rows
 from wsnqos.config import parse_config
-from wsnqos.engine import run
+from wsnqos.engine import DropCause, Simulation, run
 
 WEIGHTS = ("alpha", "beta", "gamma")
 SCALES = (0.25, 0.5, 2.0, 4.0)
@@ -128,3 +138,58 @@ def test_timeline_to_a_horizon_is_a_prefix_of_a_longer_run(text, cut):
     for cls, delays in m1.delays.items():
         assert delays.tobytes() == m2.delays[cls][: len(delays)].tobytes()
     assert m1.deaths == [death for death in m2.deaths if death[0] <= cfg1.duration]
+
+
+def emptiest_lattice_point(cfg, steps=16):
+    """(gap, x, y): the point of a (steps + 1)^2 lattice over the grid that
+    lies farthest from every node a run of `cfg` places, and that distance."""
+    placed = Simulation(cfg).topology.positions.values()
+    return max(
+        (min(math.hypot(x - p.x, y - p.y) for p in placed), x, y)
+        for x in (cfg.grid_width * i / steps for i in range(steps + 1))
+        for y in (cfg.grid_height * j / steps for j in range(steps + 1))
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=small_scenarios(), reach=st.floats(0.2, 0.95))
+@example(text=LOSSY_LIFETIME, reach=0.9)
+def test_isolated_sensor_changes_no_other_count(text, reach):
+    cfg = parse_config(text)
+    gap, x, y = emptiest_lattice_point(cfg)
+    # a radio range short of the gap, so the lattice point is out of reach
+    base = f"{text}radio.range = {reach * gap!r}\n"
+    lone = cfg.node_count
+    wider = f"{base}node_count = {lone + 1}\nposition.{lone} = {x!r},{y!r}\n"
+
+    cfg1, cfg2 = parse_config(base), parse_config(wider)
+    m1 = run(cfg1)
+    sim = Simulation(cfg2)
+    lone_state = sim.nodes[lone]
+    assert not lone_state.allowed
+    assert all(lone_state not in node.allowed for node in sim.nodes.values())
+    own = Counter()
+    drop = sim._drop
+
+    def dropping(packet, cause):
+        if packet.source == lone:
+            own[(cause, packet.cls)] += 1
+        drop(packet, cause)
+
+    sim._drop = dropping
+    m2 = sim.run()
+
+    assert {cause for cause, _cls in own} <= {DropCause.NO_ROUTE}
+    for cls, n in m2.generated.items():
+        assert n == m1.generated[cls] + own[(DropCause.NO_ROUTE, cls)]
+    assert m1.generated.keys() <= m2.generated.keys()
+    assert m2.energy_by_node.pop(lone) == 0.0
+    assert m2.residual_by_node.pop(lone) == cfg2.initial_energy
+    for name in ("delivered_by_bucket", "deaths", "tx_by_link", "rx_by_node",
+                 "wait_count", "wait_sum", "total_energy", "energy_by_node",
+                 "residual_by_node"):
+        assert getattr(m2, name) == getattr(m1, name), name
+    for cls, delays in m1.delays.items():
+        assert delays.tobytes() == m2.delays[cls].tobytes()
+    assert m2.drops - own == m1.drops
+    assert m2.in_flight == m1.in_flight
