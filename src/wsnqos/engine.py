@@ -357,10 +357,10 @@ class NodeState:
     wait_sum_nrt: float = 0.0
     waits_rt: int = 0
     waits_nrt: int = 0
-    # alive allowed neighbors -> hops the predictive drop assumes to the
-    # sink (0: no estimate); made on the first check, so nodes that never
-    # route hold no table
-    hops_by_alive: dict[int, int] | None = None
+    # hops the predictive drop assumes to the sink (0: no estimate), taken
+    # when Metrics.deaths held hops_deaths entries (-1: not yet taken)
+    hops: int = 0
+    hops_deaths: int = -1
 
 
 class Simulation:
@@ -584,38 +584,46 @@ class Simulation:
         """Next hop for the packet, or the cause to drop it.
 
         One pass over the allowed, alive neighbors gives what
-        build_neighbor_table, min_finite_delay and select_next_hop give,
-        with the same float operations in the same order: each candidate's
-        predicted delay (the closed-form priority wait, inf when its queue
-        model is unstable, plus the service time x) and its cost
-        alpha*delay + beta/usable + gamma/prr (inf when usable <= 0 or
-        prr <= 0). The lowest finite cost wins; ids ascend, so a strict
-        comparison keeps the lowest id on ties.
+        build_neighbor_table, min_finite_delay, predictive_drop_check and
+        select_next_hop give, with the same float operations in the same
+        order: each candidate's predicted delay (the closed-form priority
+        wait, inf when its queue model is unstable, plus the service time x)
+        and its cost alpha*delay + beta/usable + gamma/prr (inf when usable
+        <= 0 or prr <= 0). The lowest finite cost wins; ids ascend, so a
+        strict comparison keeps the lowest id on ties.
+
+        The predictive drop keeps the packet when now + hops*d <= deadline
+        for the smallest stable delay d. That check is monotone in d, so it
+        keeps the packet exactly when some stable candidate's delay passes
+        it. The flag keep starts True when there is no hop estimate (hops 0,
+        or the drop is off) and None otherwise; until it is True, each
+        stable candidate's delay sets it to that candidate's check. With
+        hops >= 1 and d > 0, now + hops*d is never below now, so the check
+        also drops a packet already past its deadline. A pass that ends
+        with keep False drops the packet; one that never saw a stable
+        candidate keeps it and finds no route.
 
         A candidate's delay is at least x, since its wait is >= 0. IEEE
         rounding is monotone and alpha >= 0, so alpha*x + beta/usable +
         gamma/prr, summed in the cost's order, is never above its cost. The
-        pass takes beta/usable and gamma/prr first and defers, without its
-        rates or queue model, a candidate with usable <= 0 or prr <= 0 or
-        whose bound is >= the best cost so far: the strict comparison would
-        not pick it, and the best cost only falls.
+        pass takes beta/usable and gamma/prr first. Once keep is True it
+        skips, without its rates or queue model, a candidate with usable
+        <= 0 or prr <= 0 or whose bound is >= the best cost so far: the
+        strict comparison would not pick it, and the best cost only falls.
+        Before that such a candidate gets its delay for the check and an
+        infinite or losing cost, so each candidate's rates are decayed at
+        most once per decision.
 
-        The predictive-drop check counts every alive candidate; its hop
-        estimate depends only on the sender and that count, so each node
-        keeps it per count. The check runs first on the smallest delay of
-        the scored candidates. It is monotone in the delay, and the
-        smallest over all candidates is no larger, so when it keeps the
-        packet the full check keeps it too. Only when it would drop the
-        packet, or no scored candidate is stable, and a candidate was
-        deferred, does _min_hop_delay take the smallest delay over every
-        alive candidate; that pass tells a predictive drop from no_route
-        when no candidate has a finite cost.
+        The hop estimate depends only on the sender and its count of alive
+        allowed neighbors. That count changes only at a death, and every
+        death goes through _kill, which appends it to Metrics.deaths, so the
+        node retakes its estimate only when that list has grown.
 
         The pass makes no call per candidate. Its two arrival rates repeat
         RateEstimator.rate_at on the estimator's fields, with the same float
         operations in the same order, and its PRR is LinkStats.ratio, the
         value LinkStats.prr returns. A negative arrival rate is an error,
-        checked on each alive candidate's stored levels, deferred or not.
+        checked on each alive candidate's stored levels, skipped or not.
         """
         now = self.now
         exp = math.exp
@@ -627,16 +635,23 @@ class Simulation:
         alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
         alpha_x = alpha * x
         is_rt = packet.cls is TrafficClass.RT
-        alive = 0
-        deferred = False
-        min_delay = math.inf
+        keep = True
+        if self.cfg.predictive_drop:
+            deaths = len(self.metrics.deaths)
+            if node.hops_deaths != deaths:
+                node.hops_deaths = deaths
+                alive = sum(st.battery.alive for st in node.allowed)
+                node.hops = self._hops_to_sink(node, alive) if alive else 0
+            hops = node.hops
+            if hops:
+                keep = None
+                deadline = packet.deadline
         best_cost = math.inf
         best = None
         for st in node.allowed:
             battery = st.battery
             if not battery.alive:
                 continue
-            alive += 1
             est1 = st.rate_rt
             est2 = st.rate_nrt
             level1 = est1.level
@@ -646,14 +661,16 @@ class Simulation:
             usable = battery.level - rx_cost
             link = links.get(st.node_id)
             prr = 1.0 if link is None else link.stats.ratio
-            if usable <= 0.0 or prr <= 0.0:
-                deferred = True
+            if usable > 0.0 and prr > 0.0:
+                energy_term = beta / usable
+                prr_term = gamma / prr
+                if keep and alpha_x + energy_term + prr_term >= best_cost:
+                    continue
+            elif keep:
                 continue
-            energy_term = beta / usable
-            prr_term = gamma / prr
-            if alpha_x + energy_term + prr_term >= best_cost:
-                deferred = True
-                continue
+            else:
+                # scored for the check alone: its cost is inf
+                energy_term = prr_term = math.inf
             gap = now - est1.last_arrival
             lam1 = level1 if gap <= 0.0 else level1 * exp(-gap / est1.tau)
             gap = now - est2.last_arrival
@@ -671,71 +688,17 @@ class Simulation:
                     0.5 * (lam1 * x2 + lam2 * x2) / ((1.0 - rho1) * (1.0 - rho1 - rho2))
                 )
             delay += x
-            if delay < min_delay:
-                min_delay = delay
+            if not keep:
+                keep = now + hops * delay <= deadline
             cost = alpha * delay + energy_term + prr_term
             if cost < best_cost:
                 best_cost = cost
                 best = st.node_id
-        if alive == 0:
-            return DropCause.NO_ROUTE
-        if self.cfg.predictive_drop and (deferred or min_delay < math.inf):
-            hops_by_alive = node.hops_by_alive
-            if hops_by_alive is None:
-                hops_by_alive = node.hops_by_alive = {}
-            hops = hops_by_alive.get(alive)
-            if hops is None:
-                hops = hops_by_alive[alive] = self._hops_to_sink(node, alive)
-            deadline = packet.deadline
-            if hops and not (
-                min_delay < math.inf
-                and predictive_drop_check(deadline, now, hops, min_delay)
-            ):
-                if deferred:
-                    min_delay = self._min_hop_delay(node, is_rt)
-                if min_delay < math.inf and not predictive_drop_check(
-                    deadline, now, hops, min_delay
-                ):
-                    return DropCause.PREDICTIVE
+        if keep is False:
+            return DropCause.PREDICTIVE
         if best is None:
             return DropCause.NO_ROUTE
         return best
-
-    def _min_hop_delay(self, node: NodeState, is_rt: bool) -> float:
-        """Smallest predicted delay over the node's alive allowed neighbors,
-        inf when none is stable: the delays _route computes, with the same
-        float operations, for the predictive drop when its pass deferred
-        candidates that may hold the smallest."""
-        now = self.now
-        exp = math.exp
-        x = self._x
-        x2 = self._x2
-        min_delay = math.inf
-        for st in node.allowed:
-            if not st.battery.alive:
-                continue
-            est = st.rate_rt
-            gap = now - est.last_arrival
-            lam1 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
-            est = st.rate_nrt
-            gap = now - est.last_arrival
-            lam2 = est.level if gap <= 0.0 else est.level * exp(-gap / est.tau)
-            rho1 = lam1 * x
-            if is_rt:
-                if rho1 >= 1.0:
-                    continue
-                delay = 0.5 * (lam1 * x2 + lam2 * x2) / (1.0 - rho1)
-            else:
-                rho2 = lam2 * x
-                if rho1 + rho2 >= 1.0:
-                    continue
-                delay = (
-                    0.5 * (lam1 * x2 + lam2 * x2) / ((1.0 - rho1) * (1.0 - rho1 - rho2))
-                )
-            delay += x
-            if delay < min_delay:
-                min_delay = delay
-        return min_delay
 
     def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
         target = self.nodes[target_id]

@@ -103,9 +103,8 @@ class RateEstimator:
     back-to-back) and decays toward zero when a stream goes quiet instead of
     freezing at its last value.
 
-    Simulation._route and Simulation._min_hop_delay repeat rate_at on
-    `level`, `last_arrival` and `tau` inline, with the same float
-    operations in the same order;
+    Simulation._route repeats rate_at on `level`, `last_arrival` and `tau`
+    inline, with the same float operations in the same order;
     tests/test_engine.py::test_decayed_rates_and_prr_windows_match_exactly
     keeps them in step.
     """

@@ -14,12 +14,13 @@ to the lowest node id. A packet whose estimated remaining path delay cannot
 meet its deadline is dropped before any energy is spent on it.
 
 `Simulation._route` in engine.py makes the same decision in one pass over
-scalars, without building these objects. A delay is at least the service
-time x, so alpha * x + beta / energy + gamma / prr bounds a candidate's
-cost from below; the pass skips the queue model of a candidate whose bound
-cannot beat the best cost so far and computes its delay only if the
-predictive drop needs it. The functions here are the readable reference it
-is tested against.
+scalars, without building these objects. The predictive check is monotone
+in the delay, so the pass checks each stable candidate's delay until one
+keeps the packet. A delay is at least the service time x, so alpha * x +
+beta / energy + gamma / prr bounds a candidate's cost from below; once the
+packet is kept, the pass skips the queue model of a candidate whose bound
+cannot beat the best cost so far. The functions here are the readable
+reference it is tested against.
 """
 
 from __future__ import annotations

@@ -782,10 +782,10 @@ class TestExpiry:
         m = sim.run()
         assert m.generated_total() > 50
         assert m.delivered_total() == m.generated_total()
-        # keyed by the count of alive allowed neighbors: 1 sees the sink and
-        # 2, and 2 sees the sink
-        assert sim.nodes[1].hops_by_alive == {2: 0}
-        assert sim.nodes[2].hops_by_alive == {1: 0}
+        # both senders took their estimate with no death recorded, and it is
+        # 0: no estimate
+        for nid in (1, 2):
+            assert (sim.nodes[nid].hops, sim.nodes[nid].hops_deaths) == (0, 0)
 
 
 class QueueEveryArrival(Simulation):
@@ -1009,8 +1009,17 @@ def fixed_rate(sim, rate):
     return est
 
 
-def reference_route(sim, node, packet):
-    """The readable decision path that Simulation._route must reproduce."""
+def forget_hops(node):
+    """Make the node retake its hop estimate at its next decision, as a
+    death does. A test that swaps batteries by hand kills or revives
+    neighbors without Simulation._kill, so it calls this for the sender."""
+    node.hops_deaths = -1
+
+
+def reference_route(sim, node, packet, alive_count=None):
+    """The readable decision path that Simulation._route must reproduce;
+    alive_count, when given, replaces the count of alive allowed neighbors
+    the hop estimate is taken at."""
     cfg = sim.cfg
     x = cfg.packet_bits / sim.radio.bandwidth
     views = []
@@ -1042,7 +1051,7 @@ def reference_route(sim, node, packet):
         area = allowed_area(sender_pos, sink_pos, cfg.radio_range)
         hop_delay = min_finite_delay(table)
         if area > 0.0 and hop_delay is not None:
-            spacing = delta(area, len(table))
+            spacing = delta(area, len(table) if alive_count is None else alive_count)
             if spacing > 0.0 and not predictive_drop_check(
                 packet.deadline,
                 sim.now,
@@ -1087,11 +1096,13 @@ class TestRouteMatchesReference:
     def randomize(self, sim, rng):
         """Random neighbor state: loads on both sides of the stability
         boundary, batteries below the receive cost, dead links, dead nodes
-        and, now and then, two neighbors in the same state (an equal cost)."""
+        (now and then most of them, which shortens the hop estimate) and,
+        now and then, two neighbors in the same state (an equal cost)."""
         sender = sim.nodes[self.SENDER]
         sender.links.clear()
         capacity = sim.radio.bandwidth / sim.cfg.packet_bits  # packets/s
         rx_cost = rx_energy(sim.cfg.packet_bits, sim.radio)
+        dead_share = rng.choice([0.15, 0.75])
         states = {}
         for st in sim.nodes[self.SENDER].allowed:
             nid = st.node_id
@@ -1102,7 +1113,7 @@ class TestRouteMatchesReference:
             residual = rng.choice([rx_cost * 0.5, rx_cost, rng.uniform(1e-5, 2.0)])
             outcomes = rng.choice([[], [False] * 3,
                                    [rng.random() < 0.7 for _ in range(rng.randint(1, 30))]])
-            alive = nid == SINK_ID or rng.random() >= 0.15
+            alive = nid == SINK_ID or rng.random() >= dead_share
             states[nid] = (rho[0] * capacity, rho[1] * capacity, residual, outcomes, alive)
         if rng.random() < 0.5:
             a, b = rng.sample(sorted(states.keys() - {SINK_ID}), 2)
@@ -1117,6 +1128,7 @@ class TestRouteMatchesReference:
                 link = sim._new_link(sender, st)
                 for delivered in outcomes:
                     link.stats.record_outcome(delivered)
+        forget_hops(sender)
 
     def test_random_states_match_exactly(self):
         rng = random.Random(4242)
@@ -1150,14 +1162,16 @@ class TestRouteMatchesReference:
                 not isinstance(expected, DropCause)
                 and fastest.node_id != expected
             )
-        # the sender keeps one hop estimate per alive-neighbor count, so the
-        # trials above checked both new and kept estimates
-        assert len(node.hops_by_alive) >= 3, node.hops_by_alive
+            # a hop estimate taken with every allowed neighbor alive would
+            # decide otherwise, so the sender counted the dead ones out
+            seen["alive count decides"] += (
+                reference_route(sim, node, packet, len(node.allowed))[0] != expected
+            )
         assert trials >= 1000
         for case in (
             "hop", DropCause.NO_ROUTE, DropCause.PREDICTIVE, TrafficClass.RT,
             TrafficClass.NRT, "sink chosen", "unstable", "usable <= 0", "prr = 0",
-            "dead", "tie", "min delay not chosen",
+            "dead", "tie", "min delay not chosen", "alive count decides",
         ):
             assert seen[case] >= 20, (case, seen)
 
@@ -1196,6 +1210,7 @@ class TestRouteMatchesReference:
                 quality = rng.choice([0.0, rng.random(), 1.0])
                 for _ in range(sends):
                     link.stats.record_outcome(rng.random() < quality)
+        forget_hops(sender)
 
     def test_decayed_rates_and_prr_windows_match_exactly(self):
         # _route reads the estimators' and links' fields inline; it must
@@ -1337,6 +1352,7 @@ class TestRouteMatchesReference:
                         link.stats.record_outcome(False)
                 else:
                     st.battery = Battery(rng.choice([rx_cost * 0.5, rx_cost]))
+            forget_hops(node)
             cls = rng.choice(list(TrafficClass))
             packet = Packet(
                 i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
@@ -1374,6 +1390,69 @@ class TestRouteMatchesReference:
         getattr(skipped, estimator).level = -1.0
         with pytest.raises(ValueError, match="arrival rate"):
             sim._route(node, packet)
+
+    def test_a_death_retakes_the_hop_estimate(self):
+        # every neighbor is idle, so the smallest delay is x; a deadline of
+        # now + x keeps the packet only on a one-hop estimate, which the
+        # sender takes once at most two of its six neighbors are alive.
+        # Neighbors die through the engine's own path, a draining debit
+        # and then _kill, one per decision.
+        sim = self.sim()
+        sim.now = 1.0
+        node = sim.nodes[self.SENDER]
+        assert [sim._hops_to_sink(node, n) for n in (2, 3, 6)] == [1, 2, 2]
+        verdicts = []
+        for victim in (None, 2, 3, 4, 5):
+            if victim is not None:
+                st = sim.nodes[victim]
+                st.battery.debit(st.battery.level + 1.0)
+                assert not st.battery.alive
+                sim._kill(st)
+            packet = Packet(0, TrafficClass.RT, self.SENDER, sim.now, sim.now + sim._x)
+            expected, table = reference_route(sim, node, packet)
+            assert sim._route(node, packet) == expected
+            verdicts.append(expected)
+        assert verdicts[:-1] == [DropCause.PREDICTIVE] * 4
+        assert verdicts[-1] == SINK_ID
+        # an estimate taken with all six alive would still drop it
+        stale, _ = reference_route(sim, node, packet, len(node.allowed))
+        assert stale is DropCause.PREDICTIVE
+        assert len(sim.metrics.deaths) == 4
+
+
+def test_each_decision_decays_a_candidate_rate_once(monkeypatch):
+    # a candidate's two arrival rates each cost at most one exp call per
+    # decision, whether the decision scores it for its cost or only for
+    # the predictive drop's check; counted on a lossy run with deaths,
+    # where both kinds of decision are common
+    exp_calls = 0
+    exp = math.exp
+
+    def counted_exp(value):
+        nonlocal exp_calls
+        exp_calls += 1
+        return exp(value)
+
+    over = []
+    decisions = 0
+    route = Simulation._route
+
+    def checked_route(sim, node, packet):
+        nonlocal exp_calls, decisions
+        alive = sum(st.battery.alive for st in node.allowed)
+        exp_calls = 0
+        decision = route(sim, node, packet)
+        decisions += 1
+        if exp_calls > 2 * alive:
+            over.append((exp_calls, alive))
+        return decision
+
+    monkeypatch.setattr(engine.math, "exp", counted_exp)
+    monkeypatch.setattr(Simulation, "_route", checked_route)
+    m = run(lossy_lifetime_seed_11())
+    assert m.deaths and m.drop_count(DropCause.PREDICTIVE) > 0
+    assert decisions > 1000
+    assert over == []
 
 
 # Battery.debit stand-ins that break the energy ledger.
