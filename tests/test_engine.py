@@ -1409,7 +1409,7 @@ class TestRouteMatchesReference:
                 assert not st.battery.alive
                 sim._kill(st)
             packet = Packet(0, TrafficClass.RT, self.SENDER, sim.now, sim.now + sim._x)
-            expected, table = reference_route(sim, node, packet)
+            expected, _ = reference_route(sim, node, packet)
             assert sim._route(node, packet) == expected
             verdicts.append(expected)
         assert verdicts[:-1] == [DropCause.PREDICTIVE] * 4
