@@ -3,10 +3,12 @@
 One run owns an event calendar keyed by (time, sequence), per-node state
 (battery, dual priority queues, arrival-rate estimates, and one record per
 outgoing link that has carried a send) and a metrics ledger. The calendar
-has two parts: a heap holds each traffic stream's next arrival, and the
-ends of sends ride a FIFO. Every send lasts the same transmission time x
-and starts at the current time, which never decreases, so sends end in the
-order they start.
+has two parts: a heap holds each traffic stream's next arrival with the
+stream's cursor, so a stream with no arrival left or a dead source holds
+nothing, and the ends of sends ride a FIFO. Every send lasts the same
+transmission time x and starts at the current time, which never
+decreases, so sends end in the order they start. Each event carries its
+node's state, not its id.
 
 Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
@@ -378,12 +380,15 @@ class Simulation:
         self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
         self.now = 0.0
         self._seq = 0
-        # events are keyed by (time, seq); the unique seq breaks time ties in
-        # scheduling order, so no comparison reaches the later fields. The
-        # heap holds each stream's next generation, (time, seq, node, cls).
-        # The end of a send is (time, seq, node, packet, target); every send
-        # lasts x and starts now, which never decreases, so they are made in
-        # (time, seq) order and ride a FIFO. run() pops the smaller head
+        # events are keyed by (time, seq); seq counts sends and scheduled
+        # arrivals alike, so it is unique across both queues and no
+        # comparison, in the heap or between the heads, reaches a later field.
+        # The heap holds each stream's next generation, (time, seq, node,
+        # cls, arrivals): the source, the class and the stream's cursor. The
+        # end of a send is (time, seq, node, packet, target), node the sender
+        # and target an id; every send lasts x and starts now, which never
+        # decreases, so they are made in (time, seq) order and ride a FIFO.
+        # run() pops the smaller head
         self.heap: list[tuple] = []
         self.completions: deque[tuple] = deque()
         self._timeline_points = cfg.timeline_points()
@@ -422,9 +427,6 @@ class Simulation:
         self.alive_sources = len(self.source_set)
         self._next_packet_id = 0
 
-        # each stream's remaining arrival instants, as Python floats over
-        # the float64 array (8 B per arrival; a list would hold about 32)
-        self._arrivals: dict[tuple[int, TrafficClass], Iterator[float]] = {}
         rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
         # one generator per stream, in the order of the loop below; built
         # and dropped one at a time, so set-up holds no list of them
@@ -433,11 +435,10 @@ class Simulation:
             f"traffic/{nid}/{cls.value}" for nid in sources for cls in TrafficClass
         ))
         for nid in sources:
+            node = self.nodes[nid]
             for cls in TrafficClass:
-                self._arrivals[(nid, cls)] = map(
-                    float, poisson_arrival_times(rates[cls], cfg.duration, next(rngs))
-                )
-                self._schedule_next_arrival(nid, cls)
+                arrivals = poisson_arrival_times(rates[cls], cfg.duration, next(rngs))
+                self._schedule(node, cls, map(float, arrivals))
 
     # -- setup ---------------------------------------------------------
 
@@ -456,14 +457,14 @@ class Simulation:
             positions[nid] = Position(x, y)
         return Topology(positions, SINK_ID, cfg.radio_range)
 
-    def _push(self, time: float, node: int, cls: TrafficClass) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (time, self._seq, node, cls))
-
-    def _schedule_next_arrival(self, nid: int, cls: TrafficClass) -> None:
-        time = next(self._arrivals[(nid, cls)], None)
+    def _schedule(self, node: NodeState, cls: TrafficClass, arrivals) -> None:
+        """Push a stream's next arrival with its cursor, the Python floats
+        over its float64 instants (8 B per arrival; a list would hold about
+        32). A stream with none left is dropped."""
+        time = next(arrivals, None)
         if time is not None:
-            self._push(time, nid, cls)
+            self._seq += 1
+            heapq.heappush(self.heap, (time, self._seq, node, cls, arrivals))
 
     # -- main loop -----------------------------------------------------
 
@@ -473,12 +474,11 @@ class Simulation:
         completions = self.completions
         heappop = heapq.heappop
         popleft = completions.popleft
-        nodes = self.nodes
         while heap or completions:
             if completions and (not heap or completions[0] < heap[0]):
-                time, _seq, nid, packet, target = popleft()
+                time, _seq, node, packet, target = popleft()
             else:
-                time, _seq, nid, cls = heappop(heap)
+                time, _seq, node, cls, arrivals = heappop(heap)
                 packet = None
             if time > horizon:
                 break
@@ -488,9 +488,8 @@ class Simulation:
                 )
             self.now = time
             if packet is None:
-                self._on_generated(nid, cls)
+                self._on_generated(node, cls, arrivals)
             else:
-                node = nodes[nid]
                 queues = node.queues
                 queues.in_service = None
                 if not node.battery.alive:
@@ -508,18 +507,18 @@ class Simulation:
 
     # -- handlers ------------------------------------------------------
 
-    def _on_generated(self, nid: int, cls: TrafficClass) -> None:
-        node = self.nodes[nid]
+    def _on_generated(self, node: NodeState, cls: TrafficClass, arrivals) -> None:
+        # a dead source's stream ends here, its cursor dropped with the event
         if not node.battery.alive:
             return
-        self._schedule_next_arrival(nid, cls)
+        self._schedule(node, cls, arrivals)
         budget = (
             self.cfg.deadline_rt if cls is TrafficClass.RT else self.cfg.deadline_nrt
         )
         packet = Packet(
             packet_id=self._next_packet_id,
             cls=cls,
-            source=nid,
+            source=node.node_id,
             created_at=self.now,
             deadline=self.now + budget,
         )
@@ -564,7 +563,7 @@ class Simulation:
         node.queues.in_service = packet
         self._seq += 1
         self.completions.append(
-            (self.now + self._x, self._seq, node.node_id, packet, decision)
+            (self.now + self._x, self._seq, node, packet, decision)
         )
         return True
 

@@ -135,7 +135,9 @@ class TestTraffic:
         arrivals = len(poisson_arrival_times(1e6, 1.0, rng))
         assert arrivals > 990_000
         assert held / arrivals < 12.0
-        assert len(sim._arrivals) == 2  # one cursor per (source, class)
+        # one pending event, with its cursor, per stream with an arrival in
+        # the horizon: the RT stream; the NRT stream at rate 0 holds nothing
+        assert [(e[2].node_id, e[3]) for e in sim.heap] == [(1, TrafficClass.RT)]
 
     def test_stream_labels_are_stable_and_independent(self):
         a = stream_rng(3, "traffic/1/rt").random(4)
@@ -879,6 +881,38 @@ def test_idle_nodes_hold_no_packets_and_deaths_act_at_the_kill(name):
         assert sim.queued_at_kill > 0
 
 
+class DeadStreamRecorder(Simulation):
+    """Counts, per stream, the arrivals popped after its source died, and
+    the arrivals scheduled for a dead source."""
+
+    def __init__(self, cfg):
+        self.dead_pops = Counter()  # (source, cls) -> n
+        self.dead_schedules = 0
+        super().__init__(cfg)
+
+    def _on_generated(self, node, cls, arrivals):
+        if not node.battery.alive:
+            self.dead_pops[(node.node_id, cls)] += 1
+        super()._on_generated(node, cls, arrivals)
+
+    def _schedule(self, node, cls, arrivals):
+        if not node.battery.alive:
+            self.dead_schedules += 1
+        super()._schedule(node, cls, arrivals)
+
+
+def test_a_dead_sources_streams_end():
+    # each stream's cursor rides its one pending event; the event that
+    # finds its source dead schedules nothing, so the stream ends there
+    sim = DeadStreamRecorder(lossy_lifetime_seed_11())
+    m = sim.run()
+    dead_sources = {nid for _t, nid in m.deaths} & sim.source_set
+    assert len(dead_sources) > 10
+    assert sim.dead_pops and {nid for nid, _cls in sim.dead_pops} <= dead_sources
+    assert max(sim.dead_pops.values()) == 1
+    assert sim.dead_schedules == 0
+
+
 class EventOrderRecorder(Simulation):
     """Notes each generation and each send completion as it is handled."""
 
@@ -886,9 +920,9 @@ class EventOrderRecorder(Simulation):
         super().__init__(cfg)
         self.handled = []  # ("generation" | "completion", time)
 
-    def _on_generated(self, nid, cls):
+    def _on_generated(self, node, cls, arrivals):
         self.handled.append(("generation", self.now))
-        super()._on_generated(nid, cls)
+        super()._on_generated(node, cls, arrivals)
 
     def _deliver(self, sender, packet, target_id):
         self.handled.append(("completion", self.now))
@@ -926,10 +960,10 @@ class TestEventCalendar:
         packet = Packet(0, TrafficClass.RT, 1, sim.now, 1.0)
         sim.metrics.generated[TrafficClass.RT] += 1  # so the ledger closes
         if generation_first:
-            sim._push(at, 1, TrafficClass.RT)
+            sim._schedule(node, TrafficClass.RT, iter([at]))
         assert sim._serve(node, packet)
         if not generation_first:
-            sim._push(at, 1, TrafficClass.RT)
+            sim._schedule(node, TrafficClass.RT, iter([at]))
         assert sim.heap[0][0] == sim.completions[0][0] == at
         sim.run()
         expected = ["completion", "generation"]
