@@ -33,7 +33,10 @@ Key reference (defaults in parentheses):
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
     timeline_bucket (duration / 100)          timeline.csv bucket width, s;
-                                              at most 10^6 buckets
+                                              at most 10^6 buckets; the
+                                              whole duration where
+                                              duration / 100 underflows to
+                                              0, and 1 at duration 0
 
 Each scalar key's parser and allowed range sit on its `ScenarioConfig`
 field. Numbers must be finite; a value out of range raises `ConfigError`
@@ -167,7 +170,10 @@ class ScenarioConfig:
         if self.radio_range is None:
             self.radio_range = crossover_distance(radio)
         if self.timeline_bucket is None:
-            self.timeline_bucket = self.duration / 100.0 if self.duration > 0 else 1.0
+            bucket = self.duration / 100.0
+            if not bucket > 0:  # one bucket where duration / 100 underflows
+                bucket = self.duration if self.duration > 0 else 1.0
+            self.timeline_bucket = bucket
         # defaults resolve from earlier fields, so a bad input is named
         # before a value derived from it
         for f in fields(self):

@@ -284,13 +284,15 @@ def test_input_that_cannot_run_is_a_config_error(tmp_path, capsys, line, key):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("duration", ["0", "5e-324"])
 @pytest.mark.parametrize("rates", ["rate.rt = 1e308\nrate.nrt = 1e308",
                                    "rate.rt = 1e308\nrate.nrt = 0"])
-def test_zero_duration_runs_whatever_the_rates(tmp_path, rates):
+def test_zero_duration_runs_whatever_the_rates(tmp_path, rates, duration):
     # each class expects rate x 0 = 0 packets; the sum of the two rates
-    # overflows to inf, and inf x 0 would be nan
+    # overflows to inf, and inf x 0 would be nan. At 5e-324 the default
+    # timeline bucket, duration / 100, underflows to 0
     path = tmp_path / "scenario.txt"
-    path.write_text(ONE_PACKET_SCENARIO + rates + "\nduration = 0\n")
+    path.write_text(ONE_PACKET_SCENARIO + rates + f"\nduration = {duration}\n")
     assert main(["--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
     header, rows = read_rows(tmp_path / "metrics.csv")
     assert dict(zip(header, rows[0]))["generated"] == "0"
