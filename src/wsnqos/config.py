@@ -32,11 +32,8 @@ Key reference (defaults in parentheses):
     predictive_drop (true)                    drop packets that cannot make it
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
-    timeline_bucket (duration / 100)          timeline.csv bucket width, s;
-                                              at most 10^6 buckets; the
-                                              whole duration where
-                                              duration / 100 underflows to
-                                              0, and 1 at duration 0
+    timeline_bucket (duration / 100, or       timeline.csv bucket width, s;
+      duration if that is 0, or 1)            at most 10^6 buckets
 
 Each scalar key's parser and allowed range sit on its `ScenarioConfig`
 field. Numbers must be finite; a value out of range raises `ConfigError`
@@ -170,10 +167,8 @@ class ScenarioConfig:
         if self.radio_range is None:
             self.radio_range = crossover_distance(radio)
         if self.timeline_bucket is None:
-            bucket = self.duration / 100.0
-            if not bucket > 0:  # one bucket where duration / 100 underflows
-                bucket = self.duration if self.duration > 0 else 1.0
-            self.timeline_bucket = bucket
+            # one bucket of the whole run where duration / 100 underflows to 0
+            self.timeline_bucket = self.duration / 100.0 or self.duration or 1.0
         # defaults resolve from earlier fields, so a bad input is named
         # before a value derived from it
         for f in fields(self):

@@ -3,12 +3,11 @@
 One run owns an event calendar keyed by (time, sequence), per-node state
 (battery, dual priority queues, arrival-rate estimates, and one record per
 outgoing link that has carried a send) and a metrics ledger. The calendar
-has two parts: a heap holds each traffic stream's next arrival with the
-stream's cursor, so a stream with no arrival left or a dead source holds
-nothing, and the ends of sends ride a FIFO. Every send lasts the same
-transmission time x and starts at the current time, which never
-decreases, so sends end in the order they start. Each event carries its
-node's state, not its id.
+has two parts: a heap holds each traffic stream's next arrival with its
+cursor, so a stream with none left or a dead source holds nothing, and
+the ends of sends ride a FIFO. Every send lasts the same transmission
+time x and starts at the current time, which never decreases, so sends
+end in the order they start.
 
 Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
@@ -382,13 +381,12 @@ class Simulation:
         self._seq = 0
         # events are keyed by (time, seq); seq counts sends and scheduled
         # arrivals alike, so it is unique across both queues and no
-        # comparison, in the heap or between the heads, reaches a later field.
-        # The heap holds each stream's next generation, (time, seq, node,
-        # cls, arrivals): the source, the class and the stream's cursor. The
-        # end of a send is (time, seq, node, packet, target), node the sender
-        # and target an id; every send lasts x and starts now, which never
-        # decreases, so they are made in (time, seq) order and ride a FIFO.
-        # run() pops the smaller head
+        # comparison, in the heap or between the heads, reaches a later
+        # field. The heap holds each stream's next generation, (time, seq,
+        # node, cls, arrivals), with the stream's cursor; a send's end is
+        # (time, seq, node, packet, target), target an id. node is a
+        # NodeState. Sends last x and start now, which never decreases, so
+        # they are made in (time, seq) order and ride a FIFO
         self.heap: list[tuple] = []
         self.completions: deque[tuple] = deque()
         self._timeline_points = cfg.timeline_points()
@@ -458,9 +456,8 @@ class Simulation:
         return Topology(positions, SINK_ID, cfg.radio_range)
 
     def _schedule(self, node: NodeState, cls: TrafficClass, arrivals) -> None:
-        """Push a stream's next arrival with its cursor, the Python floats
-        over its float64 instants (8 B per arrival; a list would hold about
-        32). A stream with none left is dropped."""
+        """Push a stream's next arrival with its cursor, floats over its
+        float64 instants (8 B per arrival); a spent stream is dropped."""
         time = next(arrivals, None)
         if time is not None:
             self._seq += 1
