@@ -32,8 +32,10 @@ Key reference (defaults in parentheses):
     predictive_drop (true)                    drop packets that cannot make it
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
-    timeline_bucket (duration / 100, or       timeline.csv bucket width, s;
-      duration if that is 0, or 1)            at most 10^6 buckets
+    timeline_bucket (duration / 100)          timeline.csv bucket width, s;
+                                              at most 10^6 buckets; one
+                                              bucket where duration / 100
+                                              is 0 (of 1 s at duration 0)
 
 Each scalar key's parser and allowed range sit on its `ScenarioConfig`
 field. Numbers must be finite; a value out of range raises `ConfigError`
