@@ -63,9 +63,7 @@ def metrics_row(seed: int, m: Metrics) -> list[str]:
 def timeline_rows(seed: int, cfg: ScenarioConfig, m: Metrics) -> list[list[str]]:
     rows = []
     delivered = 0
-    # the last count is of deliveries after the last point: no row shows it
-    counts = m.delivered_by_bucket[:-1]
-    for t, count in zip(cfg.timeline_points(), counts, strict=True):
+    for t, count in zip(cfg.timeline_points(), m.delivered_by_bucket, strict=True):
         delivered += count
         rows.append([str(seed), _fnum(t), str(m.alive_at(t)), str(delivered)])
     return rows

@@ -33,9 +33,10 @@ Key reference (defaults in parentheses):
     rate_tau (1.0)                            arrival-rate averaging time, s
     duration (1000.0), seed (1)
     timeline_bucket (duration / 100)          timeline.csv bucket width, s;
-                                              at most 10^6 buckets; one
-                                              bucket where duration / 100
-                                              is 0 (of 1 s at duration 0)
+                                              at most 10^6 buckets, the
+                                              last ending at the duration;
+                                              one where duration / 100 is 0
+                                              (of 1 s at duration 0)
 
 Each scalar key's parser and allowed range sit on its `ScenarioConfig`
 field. Numbers must be finite; a value out of range raises `ConfigError`
@@ -295,19 +296,18 @@ class ScenarioConfig:
         return CostWeights(self.alpha, self.beta, self.gamma)
 
     def timeline_bucket_count(self) -> int:
-        """Rows of timeline.csv per seed."""
-        return max(1, math.ceil(self.duration / self.timeline_bucket))
+        """Rows of timeline.csv per seed: duration / timeline_bucket rounded
+        up, except that a quotient that rounding left at most 2^-50 of itself
+        above a whole number counts as that number."""
+        buckets = self.duration / self.timeline_bucket
+        return max(1, math.ceil(buckets * (1 - 2**-50)))
 
     def timeline_points(self) -> list[float]:
         """The times timeline.csv reports at, one per row, in ascending
-        order: each bucket's end, the last one clipped to the duration."""
-        if self.duration <= 0.0:
-            return [0.0]
+        order: each bucket's end but the last, then the duration."""
         bucket = self.timeline_bucket
-        return [
-            min((i + 1) * bucket, self.duration)
-            for i in range(self.timeline_bucket_count())
-        ]
+        ends = [(i + 1) * bucket for i in range(self.timeline_bucket_count() - 1)]
+        return ends + [self.duration]
 
     def loss_for(self, u: int, v: int) -> float:
         return self.link_loss.get((u, v), self.loss)

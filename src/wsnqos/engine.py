@@ -91,8 +91,8 @@ class Metrics:
 
     Each end-to-end delay is kept, 8 B per sample, for an exact p95.
     delivered_by_bucket[i] counts the deliveries after timeline point i - 1
-    and at or before point i (ScenarioConfig.timeline_points); its one extra
-    last slot counts those after the last point, which no timeline row shows.
+    and at or before point i (ScenarioConfig.timeline_points), one slot per
+    timeline row; the last point is the duration, so every delivery has one.
     """
 
     generated: Counter = field(default_factory=Counter)  # cls -> n
@@ -392,7 +392,7 @@ class Simulation:
         self._timeline_points = cfg.timeline_points()
         self.metrics = Metrics(
             sensor_count=cfg.node_count - 1,
-            delivered_by_bucket=[0] * (len(self._timeline_points) + 1),
+            delivered_by_bucket=[0] * len(self._timeline_points),
         )
 
         self.topology = self._place_nodes()

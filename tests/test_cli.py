@@ -449,8 +449,17 @@ def test_every_scenario_runs_or_is_a_config_error(text):
         path.write_text(text, encoding="utf-8")
         argv = ["--config", str(path), "--out", tmp, "--quiet"]
         try:
-            parse_config(text)
+            cfg = parse_config(text)
         except ConfigError:
             assert main(argv) == 2
         else:
             assert main(argv) == 0
+            # every delivery lands in a timeline row
+            _, (metrics,) = read_rows(Path(tmp) / "metrics.csv")
+            _, timeline = read_rows(Path(tmp) / "timeline.csv")
+            assert len(timeline) == cfg.timeline_bucket_count()
+            delivered = sum(
+                int(metrics[METRICS_COLUMNS.index(name)])
+                for name in ("delivered_rt", "delivered_nrt")
+            )
+            assert int(timeline[-1][TIMELINE_COLUMNS.index("delivered_cum")]) == delivered

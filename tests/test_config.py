@@ -277,3 +277,15 @@ class TestHelpers:
                            timeline_bucket=1000.0 / cap)
         with pytest.raises(ConfigError, match="timeline_bucket"):
             replace(at_cap, duration=2000.0)
+
+    def test_default_bucket_gives_100_rows_ending_at_the_duration(self):
+        # each of 0.1 s to 199.9 s in steps of 0.1 s; the bucket end points
+        # alone could give a 101st row a sliver long, or a last row short of
+        # the duration
+        for i in range(1, 2000):
+            cfg = ScenarioConfig(duration=i / 10)
+            points = cfg.timeline_points()
+            assert len(points) == cfg.timeline_bucket_count() == 100, cfg.duration
+            assert all(a < b for a, b in zip(points, points[1:])), cfg.duration
+            assert points[-1] == cfg.duration
+            assert parse_config(dumps_config(cfg)).timeline_points() == points

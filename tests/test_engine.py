@@ -651,13 +651,8 @@ class DeathBranchRecorder(Simulation):
 def timeline_oracle(seed, cfg, m, delivered_at):
     """timeline.csv rows with each row's delivered count found by bisecting
     the sorted delivery times at the row's time."""
-    if cfg.duration <= 0.0:
-        points = [0.0]
-    else:
-        points = [
-            min((i + 1) * cfg.timeline_bucket, cfg.duration)
-            for i in range(cfg.timeline_bucket_count())
-        ]
+    n = cfg.timeline_bucket_count()
+    points = [(i + 1) * cfg.timeline_bucket for i in range(n - 1)] + [cfg.duration]
     times = sorted(delivered_at)
     return [
         [str(seed), cli._fnum(t), str(m.alive_at(t)), str(bisect_right(times, t))]
@@ -666,8 +661,8 @@ def timeline_oracle(seed, cfg, m, delivered_at):
 
 
 class TestDeliveryRecords:
-    # 2.9 s in buckets of 2.9 / 9: nine rows, and the last row's time,
-    # 9 x bucket = 2.8999999999999995, falls short of the duration
+    # 2.9 s in buckets of 2.9 / 9: nine rows, and the ninth row is at 2.9,
+    # though 9 x bucket = 2.8999999999999995 falls short of the duration
     SHORT = dict(duration=2.9, timeline_bucket=2.9 / 9)
 
     @pytest.mark.parametrize(
@@ -691,20 +686,22 @@ class TestDeliveryRecords:
     def test_timeline_counts_each_delivery_at_its_row(self):
         cfg = two_node_cfg(rate_rt=0.0, **self.SHORT)
         points = cfg.timeline_points()
-        assert points[-1] < cfg.duration
-        delivered_at = [0.0, cfg.duration, math.nextafter(points[-1], math.inf)]
-        for t in points:
-            delivered_at += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        assert points[-1] == cfg.duration
+        # no run delivers after its duration
+        delivered_at = [0.0] + [
+            probe
+            for t in points
+            for probe in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
+            if probe <= cfg.duration
+        ]
         sim = Simulation(cfg)
         for i, t in enumerate(delivered_at):
             sim.now = t
             sim._record_delivery(Packet(i, TrafficClass.RT, 1, 0.0, 1.0))
         m = sim.metrics
-        # the deliveries after the last row's time count in no row
-        assert m.delivered_by_bucket[-1] == 3
-        assert cli.timeline_rows(cfg.seed, cfg, m) == timeline_oracle(
-            cfg.seed, cfg, m, delivered_at
-        )
+        rows = cli.timeline_rows(cfg.seed, cfg, m)
+        assert rows[-1][3] == str(len(delivered_at))
+        assert rows == timeline_oracle(cfg.seed, cfg, m, delivered_at)
 
     def test_delay_samples_hold_8_bytes_each(self):
         # one float64 per delivered packet; a list of Python floats would
