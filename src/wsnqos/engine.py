@@ -288,19 +288,23 @@ def stream_rngs(
         yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def poisson_arrival_times(rate: float, horizon: float, rng: np.random.Generator):
+def poisson_arrival_times(
+    rate: float, horizon: float, rng: np.random.Generator, first: float | None = None
+):
     """Arrival instants of a Poisson process with the given rate on (0, horizon].
 
     The gaps are drawn in chunks of about 1.2 x the expected count, each
     chunk's cumsum added to the last instant before it. The first gap is
     drawn alone, so a stream with no arrival in the horizon costs one draw;
     a Generator's scalar and array draws take the same values from its
-    stream, so the instants do not depend on it.
+    stream, so the instants do not depend on it. A caller that has drawn
+    the first gap, rng.exponential(1.0 / rate), passes it as `first`.
     """
     if rate <= 0.0 or horizon <= 0.0:
         return np.empty(0)
     scale = 1.0 / rate
-    first = rng.exponential(scale)
+    if first is None:
+        first = rng.exponential(scale)
     if first > horizon:
         return np.empty(0)
     n = max(64, int(rate * horizon * 1.2) + 64)
@@ -359,8 +363,10 @@ class NodeState:
     waits_rt: int = 0
     waits_nrt: int = 0
     # hops the predictive drop assumes to the sink (0: no estimate), taken
-    # when Metrics.deaths held hops_deaths entries (-1: not yet taken)
+    # at hops_alive alive allowed neighbors (-1: not yet taken); the count
+    # was last checked when Metrics.deaths held hops_deaths entries
     hops: int = 0
+    hops_alive: int = -1
     hops_deaths: int = -1
 
 
@@ -405,38 +411,52 @@ class Simulation:
                 rate_rt=RateEstimator(cfg.rate_tau),
                 rate_nrt=RateEstimator(cfg.rate_tau),
             )
-        # every hop _route picks is on these lists, so this checks that each
+        # every hop _route picks is on these tables, so this checks that each
         # hop moves strictly closer to the sink; raise, not assert, so the
-        # check stays on under python -O
+        # check stays on under python -O. Node ids are 0..N-1 in order, so
+        # node i's neighbors are row i of the table
         topology = self.topology
-        for nid, st in self.nodes.items():
-            if nid == SINK_ID:
-                continue
-            allowed = topology.allowed_neighbor_ids(nid)
-            limit = topology.distance_to_sink(nid)
-            for a in allowed:
-                if not topology.distance_to_sink(a) < limit:
-                    raise RuntimeError(
-                        f"allowed neighbor {a} of node {nid} is no closer to the sink"
-                    )
-            st.allowed = [self.nodes[a] for a in allowed]
+        start, allowed = topology.allowed_table()
+        dist = np.array(list(map(topology.distance_to_sink, self.nodes)))
+        owner = np.repeat(np.arange(len(dist)), np.diff(start))
+        bad = np.flatnonzero(~(dist[allowed] < dist[owner]))
+        if bad.size:
+            i = bad[0]
+            raise RuntimeError(
+                f"allowed neighbor {allowed[i]} of node {owner[i]} is no closer "
+                "to the sink"
+            )
+        states = list(self.nodes.values())
+        neighbors = [states[a] for a in allowed.tolist()]
+        bounds = start.tolist()
+        for st, a, b in zip(states, bounds, bounds[1:]):
+            st.allowed = neighbors[a:b]
 
         self.source_set = set(cfg.source_ids())
         self.alive_sources = len(self.source_set)
         self._next_packet_id = 0
 
-        rates = {TrafficClass.RT: cfg.rate_rt, TrafficClass.NRT: cfg.rate_nrt}
-        # one generator per stream, in the order of the loop below; built
-        # and dropped one at a time, so set-up holds no list of them
+        # one generator per stream that draws (a positive rate and horizon),
+        # in the order of the loop below; built and dropped one at a time, so
+        # set-up holds no list of them. Each stream's first gap is drawn
+        # here, and only a stream with an arrival in the horizon goes on
+        horizon = cfg.duration
+        rates = ((TrafficClass.RT, cfg.rate_rt), (TrafficClass.NRT, cfg.rate_nrt))
+        streams = [
+            (cls, cls.value, rate) for cls, rate in rates if rate > 0.0 and horizon > 0.0
+        ]
         sources = sorted(self.source_set)
         rngs = stream_rngs(cfg.seed, (
-            f"traffic/{nid}/{cls.value}" for nid in sources for cls in TrafficClass
+            f"traffic/{nid}/{name}" for nid in sources for _cls, name, _rate in streams
         ))
         for nid in sources:
             node = self.nodes[nid]
-            for cls in TrafficClass:
-                arrivals = poisson_arrival_times(rates[cls], cfg.duration, next(rngs))
-                self._schedule(node, cls, map(float, arrivals))
+            for cls, _name, rate in streams:
+                rng = next(rngs)
+                first = rng.exponential(1.0 / rate)
+                if first <= horizon:
+                    arrivals = poisson_arrival_times(rate, horizon, rng, first)
+                    self._schedule(node, cls, map(float, arrivals))
 
     # -- setup ---------------------------------------------------------
 
@@ -613,7 +633,8 @@ class Simulation:
         The hop estimate depends only on the sender and its count of alive
         allowed neighbors. That count changes only at a death, and every
         death goes through _kill, which appends it to Metrics.deaths, so the
-        node retakes its estimate only when that list has grown.
+        node recounts only when that list has grown, and retakes its
+        estimate only when its own count has changed.
 
         The pass makes no call per candidate. Its two arrival rates repeat
         RateEstimator.rate_at on the estimator's fields, with the same float
@@ -637,7 +658,9 @@ class Simulation:
             if node.hops_deaths != deaths:
                 node.hops_deaths = deaths
                 alive = sum(st.battery.alive for st in node.allowed)
-                node.hops = self._hops_to_sink(node, alive) if alive else 0
+                if alive != node.hops_alive:
+                    node.hops_alive = alive
+                    node.hops = self._hops_to_sink(node, alive) if alive else 0
             hops = node.hops
             if hops:
                 keep = None

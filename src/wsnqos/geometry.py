@@ -9,21 +9,29 @@ sink distance. That region's area, divided by the number of neighbors
 inside it, gives an estimate of the spacing between relays and hence of
 the number of hops left on a straight path to the sink.
 
-`Topology` finds each sender's allowed neighbors through a uniform cell grid
-whose cell side is the radio range: every node sits in one cell, the index
-maps each occupied cell to its nodes, and a sender checks only the nodes in
-the cells its radio disk can touch. The allowed-neighbor predicate still
-decides every pair, so the neighbor lists are those of an all-pairs scan,
-at O(N) pair checks for a fixed node density instead of O(N^2).
-`in_range_pair_bound` reads the same cells to bound the pairs in range
-without checking any pair.
+`Topology` builds every sender's allowed-neighbor list at construction, in
+one numpy pass over a uniform cell grid whose cell side is the radio range
+(the cell-list method of Hockney & Eastwood, 1981). The nodes are sorted by
+cell, column first, so the cells a sender's radio disk can touch in one
+column are one slice of that order, found by binary search; only the nodes
+in those 3 or 4 slices are candidates. The senders go in blocks of a fixed
+number of candidate pairs, so the pass's temporaries do not grow with N.
+A candidate is kept when it is strictly closer to the sink, by the same
+math.hypot distances the predicate compares, and in range by np.hypot. The
+two hypot functions can disagree only for a pair within a few ulps of the
+range, and every pair near the range is decided by the predicate itself, so
+the lists are those of an all-pairs scan, at O(N) candidate pairs for a
+fixed node density instead of N^2. `in_range_pair_bound` counts the same
+slices to bound the pairs in range without checking any pair.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class NoNeighborsError(ValueError):
@@ -99,8 +107,22 @@ def hops_linear(sender: Position, sink: Position, spacing: float) -> int:
     return max(1, math.ceil(distance(sender, sink) / spacing))
 
 
-def _cell_span(u: float) -> range:
-    """Cell indices along one axis that a sender at cell coordinate u reaches.
+# Candidate pairs one block of senders holds at once in
+# _allowed_neighbor_rows: its temporaries take about 60 B per pair, so a block
+# holds about 0.5 MB whatever the number of nodes.
+_BLOCK_PAIRS = 1 << 13
+
+# np.hypot and math.hypot each err by under one ulp, so they can disagree
+# about a pair only when its distance is within a few ulps of the radio
+# range. The bulk pass leaves every pair within this share of the range (or
+# within _NEAR_FLOOR of it, for a subnormal range) to is_allowed_neighbor.
+_NEAR_RANGE = 2.0**-40
+_NEAR_FLOOR = 2.0**-1000
+
+
+def _cell_spans(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last cell index along one axis that senders at cell
+    coordinates u reach.
 
     u = fl(x / c) for the cell side c >= max(r, 1e-8), and eps = 2**-53.
     A candidate at x' that passes the predicate has
@@ -115,18 +137,52 @@ def _cell_span(u: float) -> range:
     edge: a bare 3-cell span can miss an in-range candidate that rounding
     put two cells away.
     """
-    reach = 1.0 + 1e-9 * max(1.0, abs(u))
-    return range(math.floor(u - reach), math.floor(u + reach) + 1)
+    reach = 1.0 + 1e-9 * np.maximum(1.0, np.abs(u))
+    return np.floor(u - reach).astype(np.int64), np.floor(u + reach).astype(np.int64)
 
 
 def cell_side(radio_range: float, extent: float) -> float:
     """Side of the cell grid for nodes whose coordinates are at most
     `extent` in magnitude: the radio range, widened only for a range under
     1e-8 of max(1, extent). Then |x / side| <= 1e8, so the margin in
-    _cell_span stays under 0.1 cell, and subnormal round-off is far below
-    it. Any side of at least the range keeps the argument in _cell_span.
+    _cell_spans stays under 0.1 cell, and subnormal round-off is far below
+    it. Any side of at least the range keeps the argument in _cell_spans.
     """
     return max(radio_range, 1e-8 * max(1.0, extent))
+
+
+class _CellGrid:
+    """Points (finite, one or more) sorted by cell, and for each point the
+    slices of that order that hold the cells its span reaches.
+
+    Cell (i, j) is keyed (i - i0) * width + (j - j0), which is >= 0 and
+    orders the cells by column, then row. The cells of one column and the
+    rows lo..hi are then one slice of the sorted points, so a span of 3 or
+    4 columns is 3 or 4 slices, found by binary search: point p's column k
+    is order[start[p, k]:stop[p, k]], and a 3-column span's fourth slice is
+    empty. Keys stay below 2**63, since |i|, |j| <= 1e8 + 2 (see cell_side).
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+        extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
+        cell = cell_side(radio_range, extent)
+        u = xs / cell
+        v = ys / cell
+        x_lo, x_hi = _cell_spans(u)
+        y_lo, y_hi = _cell_spans(v)
+        i0 = int(x_lo.min())
+        j0 = int(y_lo.min())
+        width = int(y_hi.max()) - j0 + 1
+        key = (np.floor(u).astype(np.int64) - i0) * width + (
+            np.floor(v).astype(np.int64) - j0
+        )
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        column = (x_lo[:, None] + np.arange(4) - i0) * width - j0
+        self.start = np.searchsorted(key, column + y_lo[:, None], "left")
+        self.stop = np.searchsorted(key, column + y_hi[:, None], "right")
+        three = x_hi - x_lo < 3
+        self.stop[three, 3] = self.start[three, 3]
 
 
 def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -> int:
@@ -134,87 +190,127 @@ def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -
     within radio_range of each other, from the occupancy of Topology's cells
     and no pair checks.
 
-    A point can be in range only of the points in the cells its _cell_span
+    A point can be in range only of the points in the cells its span
     reaches, so the bound is C(n, 2) for a cell of n points plus n * n' for
     each two cells n and n' that reach each other.
     """
-    extent = max(max(abs(x), abs(y)) for x, y in points)
-    cell = cell_side(radio_range, extent)
-    scaled = [(x / cell, y / cell) for x, y in points]
-    counts = Counter((math.floor(u), math.floor(v)) for u, v in scaled)
-    reached = 0
-    for u, v in scaled:
-        ys = _cell_span(v)
-        for cx in _cell_span(u):
-            for cy in ys:
-                reached += counts.get((cx, cy), 0)
+    xy = np.array(points, dtype=float)
+    grid = _CellGrid(xy[:, 0], xy[:, 1], radio_range)
+    reached = int((grid.stop - grid.start).sum())
     # each point reaches itself once, and each other point of a pair that
     # can be in range reaches it
     return (reached - len(points)) // 2
 
 
+def _allowed_neighbor_rows(
+    points: list[Position], sink: Position, sink_dist: np.ndarray, radio_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's allowed neighbors, as places in `points`: (start, rows),
+    point i's in ascending order at rows[start[i]:start[i + 1]].
+
+    sink_dist[i] is distance(points[i], sink). The senders go in blocks of
+    about _BLOCK_PAIRS candidates, the points in the cells their spans
+    reach. A candidate must be strictly closer to the sink, by the same
+    floats the predicate compares, and in range by np.hypot, except that a
+    pair near the range is decided by is_allowed_neighbor itself.
+    """
+    n = len(points)
+    xs = np.array([p.x for p in points], dtype=float)
+    ys = np.array([p.y for p in points], dtype=float)
+    grid = _CellGrid(xs, ys, radio_range)
+    order = grid.order
+    # the candidates in the grid's order, where each slice is contiguous
+    cand_x = xs[order]
+    cand_y = ys[order]
+    cand_dist = sink_dist[order]
+    lengths = grid.stop - grid.start
+    counts = lengths.sum(axis=1)
+    ends = np.cumsum(counts)
+    near = radio_range * _NEAR_RANGE + _NEAR_FLOOR
+    rows = []
+    found = []
+    begin = 0
+    while begin < n:
+        before = int(ends[begin - 1]) if begin else 0
+        end = max(begin + 1, int(np.searchsorted(ends, before + _BLOCK_PAIRS, "right")))
+        # each candidate's place in the grid's order: its slice's start plus
+        # its offset in the slice
+        seg_len = lengths[begin:end].ravel()
+        shift = grid.start[begin:end].ravel() - (np.cumsum(seg_len) - seg_len)
+        place = np.arange(int(ends[end - 1]) - before) + np.repeat(shift, seg_len)
+        sender = np.repeat(np.arange(begin, end), counts[begin:end])
+        closer = cand_dist[place] < sink_dist[sender]
+        place = place[closer]
+        sender = sender[closer]
+        d = np.hypot(xs[sender] - cand_x[place], ys[sender] - cand_y[place])
+        inside = d <= radio_range
+        for i in np.flatnonzero(np.abs(d - radio_range) <= near).tolist():
+            inside[i] = is_allowed_neighbor(
+                points[sender[i]], points[order[place[i]]], sink, radio_range
+            )
+        # senders ascend, so this orders each sender's neighbors
+        pair = np.sort(sender[inside] * n + order[place[inside]])
+        rows.append(pair % n)
+        found.append(np.bincount(pair // n - begin, minlength=end - begin))
+        begin = end
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(found), out=start[1:])
+    return start, np.concatenate(rows)
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Immutable node placement: id -> position, plus sink id and radio range."""
+    """Immutable node placement: id -> position, plus sink id and radio range.
+
+    Every node's allowed neighbors are found once, at construction.
+    """
 
     positions: dict[int, Position]
     sink: int
     radio_range: float
     _sink_dist: dict[int, float] = field(init=False, repr=False, compare=False)
-    _cell: float = field(init=False, repr=False, compare=False)
-    # occupied cell (floor(x / cell), floor(y / cell)) -> [(id, position)];
-    # keyed by occupied cell so it holds at most N entries whatever the grid
-    _cells: dict[tuple[int, int], list[tuple[int, Position]]] = field(
-        init=False, repr=False, compare=False
-    )
+    # the node ids in ascending order; row i of the table is _ids[i]'s
+    _ids: list[int] = field(init=False, repr=False, compare=False)
+    # row i's allowed neighbor ids, ascending, are
+    # _neighbors[_start[i]:_start[i + 1]]
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
+    _neighbors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sink not in self.positions:
             raise ValueError(f"sink id {self.sink} has no position")
         if not self.radio_range > 0.0:
             raise ValueError("radio_range must be > 0")
-        sink_pos = self.positions[self.sink]
-        object.__setattr__(
-            self,
-            "_sink_dist",
-            {nid: distance(p, sink_pos) for nid, p in self.positions.items()},
-        )
-        extent = 0.0
-        for nid, p in self.positions.items():
+        ids = sorted(self.positions)
+        points = [self.positions[nid] for nid in ids]
+        for nid, p in zip(ids, points):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"node {nid} has a non-finite position {p}")
-            extent = max(extent, abs(p.x), abs(p.y))
-        cell = cell_side(self.radio_range, extent)
-        cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
-        for nid, p in self.positions.items():
-            key = (math.floor(p.x / cell), math.floor(p.y / cell))
-            cells.setdefault(key, []).append((nid, p))
-        object.__setattr__(self, "_cell", cell)
-        object.__setattr__(self, "_cells", cells)
+        sink_pos = self.positions[self.sink]
+        sink_dist = [distance(p, sink_pos) for p in points]
+        start, rows = _allowed_neighbor_rows(
+            points, sink_pos, np.array(sink_dist), self.radio_range
+        )
+        neighbors = np.array(ids, dtype=np.int64)[rows]
+        start.flags.writeable = neighbors.flags.writeable = False
+        object.__setattr__(self, "_sink_dist", dict(zip(ids, sink_dist)))
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_neighbors", neighbors)
 
     def distance_to_sink(self, node_id: int) -> float:
         return self._sink_dist[node_id]
 
+    def allowed_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's allowed neighbors at once: (start, ids), where the
+        node at place i of the ascending node ids has its neighbors' ids,
+        ascending, at ids[start[i]:start[i + 1]]. Both arrays are the
+        topology's own, and read-only."""
+        return self._start, self._neighbors
+
     def allowed_neighbor_ids(self, sender: int) -> list[int]:
         """Ids (sorted) inside the sender's allowed region, sender excluded."""
-        sender_pos = self.positions[sender]
-        sink_pos = self.positions[self.sink]
-        r = self.radio_range
-        cell = self._cell
-        cells = self._cells
-        # the same distance(p, sink) floats the predicate computes, so a
-        # candidate no closer to the sink, the sender among them, is settled
-        # without calling it
-        sink_dist = self._sink_dist
-        limit = sink_dist[sender]
-        ys = _cell_span(sender_pos.y / cell)
-        found = []
-        for cx in _cell_span(sender_pos.x / cell):
-            for cy in ys:
-                for nid, pos in cells.get((cx, cy), ()):
-                    if sink_dist[nid] < limit and is_allowed_neighbor(
-                        sender_pos, pos, sink_pos, r
-                    ):
-                        found.append(nid)
-        found.sort()
-        return found
+        row = bisect_left(self._ids, sender)
+        if row == len(self._ids) or self._ids[row] != sender:
+            raise KeyError(sender)
+        return self._neighbors[self._start[row] : self._start[row + 1]].tolist()

@@ -4,10 +4,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import all_pairs_allowed
 
 import wsnqos
 from wsnqos import cli
@@ -19,6 +21,7 @@ from wsnqos.config import (
     _parse_sources,
     parse_config,
 )
+from wsnqos.engine import Simulation
 
 ONE_PACKET_SCENARIO = """\
 # single sensor 50 m from the sink; exactly one packet at this seed
@@ -463,3 +466,83 @@ def test_every_scenario_runs_or_is_a_config_error(text):
                 for name in ("delivered_rt", "delivered_nrt")
             )
             assert int(timeline[-1][TIMELINE_COLUMNS.index("delivered_cum")]) == delivered
+
+
+@st.composite
+def accepted_scenario_text(draw):
+    """A scenario that parse_config accepts, so its run is exercised: at most
+    40 nodes and 0.05 s, pins (some on multiples of the radio range, so on
+    cell edges, and some on another pin), per-link losses and sources."""
+    n = draw(st.integers(2, 40))
+    width = draw(st.floats(1.0, 500.0))
+    height = draw(st.floats(1.0, 500.0))
+    r = draw(st.floats(1.0, 200.0))
+    lines = [
+        f"node_count = {n}",
+        f"grid.width = {width!r}",
+        f"grid.height = {height!r}",
+        f"sink.x = {draw(st.floats(0.0, width))!r}",
+        f"sink.y = {draw(st.floats(0.0, height))!r}",
+        f"radio.range = {r!r}",
+        f"duration = {draw(st.floats(1e-3, 0.05))!r}",
+        f"rate.rt = {draw(st.floats(0.0, 200.0))!r}",
+        f"rate.nrt = {draw(st.floats(0.0, 200.0))!r}",
+        f"loss = {draw(st.floats(0.0, 1.0))!r}",
+        f"initial_energy = {draw(st.floats(1e-5, 1e-2))!r}",
+        f"predictive_drop = {draw(st.sampled_from(['true', 'false']))}",
+        f"seed = {draw(st.integers(0, 2**64 - 1))}",
+    ]
+
+    def coord(extent):
+        on_edge = st.integers(0, int(extent // r)).map(lambda k: min(k * r, extent))
+        return draw(st.one_of(st.floats(0.0, extent), on_edge))
+
+    pins = []
+    for nid in draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)):
+        if pins and draw(st.booleans()):
+            x, y = draw(st.sampled_from(pins))
+        else:
+            x, y = coord(width), coord(height)
+        pins.append((x, y))
+        lines.append(f"position.{nid} = {x!r},{y!r}")
+    links = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for u, v in draw(st.lists(links, max_size=3)):
+        lines.append(f"loss.{u}.{v} = {draw(st.floats(0.0, 1.0))!r}")
+    sources = draw(st.one_of(
+        st.just("all"),
+        st.lists(st.integers(1, n - 1), min_size=1, max_size=5).map(
+            lambda ids: ",".join(map(str, ids))
+        ),
+    ))
+    lines.append(f"sources = {sources}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=accepted_scenario_text())
+def test_every_accepted_scenario_runs_on_the_all_pairs_tables(text):
+    cfg = parse_config(text)
+    sims = []
+
+    def recorded_run(run_cfg):
+        sim = Simulation(run_cfg)
+        sims.append(sim)
+        return sim.run()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(cli, "run", recorded_run):
+            assert main(["--config", str(path), "--out", tmp, "--quiet"]) == 0
+        (sim,) = sims
+        for nid, state in sim.nodes.items():
+            allowed = [s.node_id for s in state.allowed]
+            assert allowed == all_pairs_allowed(sim.topology, nid), nid
+        _, (metrics,) = read_rows(Path(tmp) / "metrics.csv")
+        _, timeline = read_rows(Path(tmp) / "timeline.csv")
+        assert len(timeline) == cfg.timeline_bucket_count()
+        delivered = sum(
+            int(metrics[METRICS_COLUMNS.index(name)])
+            for name in ("delivered_rt", "delivered_nrt")
+        )
+        assert int(timeline[-1][TIMELINE_COLUMNS.index("delivered_cum")]) == delivered

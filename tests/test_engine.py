@@ -194,6 +194,12 @@ class TestArrivalsMatchChunkedDraws:
             expected = chunked_arrival_times(rate, horizon, stream_rng(seed, label))
             assert times.dtype == expected.dtype
             assert times.tobytes() == expected.tobytes()
+            # set-up draws a stream's first gap itself and passes it on
+            if rate > 0.0 and len(times):
+                rng = stream_rng(seed, label)
+                first = rng.exponential(1.0 / rate)
+                passed = poisson_arrival_times(rate, horizon, rng, first)
+                assert passed.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("factor", [0.5, 0.1, 0.01])
     def test_same_bytes_over_many_chunks(self, factor):
@@ -910,6 +916,34 @@ def test_a_dead_sources_streams_end():
     assert sim.dead_schedules == 0
 
 
+class HopsRecorder(Simulation):
+    """Notes each hop estimate a node takes: (node, alive allowed neighbors)."""
+
+    def __init__(self, cfg):
+        self.hops_calls = []
+        super().__init__(cfg)
+
+    def _hops_to_sink(self, node, alive):
+        assert alive == sum(st.battery.alive for st in node.allowed)
+        self.hops_calls.append((node.node_id, alive))
+        return super()._hops_to_sink(node, alive)
+
+
+def test_hop_estimate_is_retaken_only_when_its_count_changes():
+    # a death elsewhere in the network leaves a node's estimate as it is;
+    # retaking it after every death made 590 calls on this run, not 152
+    sim = HopsRecorder(lossy_lifetime_seed_11())
+    m = sim.run()
+    assert len(m.deaths) > 10
+    by_node = {}
+    for nid, alive in sim.hops_calls:
+        by_node.setdefault(nid, []).append(alive)
+    for counts in by_node.values():
+        # neighbors only die, and each estimate is at a new count
+        assert all(a > b for a, b in zip(counts, counts[1:]))
+    assert len(sim.hops_calls) == 152
+
+
 class EventOrderRecorder(Simulation):
     """Notes each generation and each send completion as it is handled."""
 
@@ -1045,6 +1079,7 @@ def forget_hops(node):
     death does. A test that swaps batteries by hand kills or revives
     neighbors without Simulation._kill, so it calls this for the sender."""
     node.hops_deaths = -1
+    node.hops_alive = -1
 
 
 def reference_route(sim, node, packet, alive_count=None):

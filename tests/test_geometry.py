@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,7 +328,8 @@ class TestCellIndexMatchesAllPairs:
         points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 100.0, (60, 2))]
         topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
                         sink=0, radio_range=1e4)
-        assert len(topo._cells) == 1
+        # every point sits in one cell, so each reaches all the others
+        assert in_range_pair_bound(points, 1e4) == 59 * 60 // 2
         # all in reach: each sender's neighbors are the nodes nearer the sink
         assert assert_matches_all_pairs(points, 1e4) == 59 * 60 // 2
 
@@ -363,6 +365,102 @@ class TestCellIndexMatchesAllPairs:
     @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes)
     def test_matches_all_pairs(self, r, nodes):
         assert_matches_all_pairs(layout_points(r, nodes), r)
+
+
+# drawn layouts for the bulk pass: (x, y, ulps) nodes as in layout_nodes,
+# plus a cluster of points within r / 10 of a drawn one and copies of drawn
+# points
+bulk_layouts = st.tuples(
+    layout_nodes,
+    st.integers(0, 30),
+    st.lists(st.integers(0, 40), max_size=5),
+)
+
+
+def bulk_points(r, layout):
+    nodes, cluster, copies = layout
+    points = layout_points(r, nodes)
+    x0, y0 = points[-1]
+    points += [(x0 + i * r / 300, y0 - i * r / 300) for i in range(cluster)]
+    points += [points[i % len(points)] for i in copies]
+    return points
+
+
+def four_cell_senders(points, r):
+    """Points whose span of cells is four wide along some axis."""
+    xs, ys = np.array(points).T
+    extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
+    cell = geometry.cell_side(r, extent)
+    return sum(
+        int((hi - lo == 3).sum())
+        for lo, hi in (geometry._cell_spans(xs / cell), geometry._cell_spans(ys / cell))
+    )
+
+
+class TestBulkTablesMatchAllPairs:
+    """The one numpy pass that builds every table, against the all-pairs scan,
+    with blocks of 1 to 64 candidate pairs so that layouts span many blocks
+    and single senders overflow one."""
+
+    @settings(deadline=None)
+    @given(r=st.floats(1e-3, 500.0), layout=bulk_layouts, block=st.integers(1, 64))
+    def test_layouts_in_blocks(self, r, layout, block):
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            assert_matches_all_pairs(bulk_points(r, layout), r)
+
+    @settings(deadline=None)
+    @given(r=st.floats(1e-12, 1e-6), layout=bulk_layouts, block=st.integers(1, 64))
+    def test_tiny_ranges_on_widened_cells(self, r, layout, block):
+        # coordinates up to 1e3 make cell_side widen the cells past r; the
+        # cluster and the cell multiples put pairs in range of each other
+        points = bulk_points(r, layout) + [(1e3, 1e3)]
+        assert geometry.cell_side(r, 1e3) > r
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
+            assert_matches_all_pairs(points, r)
+
+    def test_lattice_senders_reach_four_cells(self):
+        r = 10.0
+        points = lattice(r, 3)
+        points += [(math.nextafter(x, math.inf), math.nextafter(y, -math.inf))
+                   for x, y in lattice(r, 3)]
+        assert four_cell_senders(points, r) > 40
+        with mock.patch.object(geometry, "_BLOCK_PAIRS", 7):
+            assert assert_matches_all_pairs(points, r) > 0
+
+    def test_a_layout_of_several_default_blocks(self):
+        # about 190 candidates per sender: several blocks of _BLOCK_PAIRS
+        rng = np.random.default_rng(19)
+        points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 100.0, (400, 2))]
+        grid = geometry._CellGrid(*np.array(points).T, 30.0)
+        pairs = int((grid.stop - grid.start).sum())
+        assert pairs > 2 * geometry._BLOCK_PAIRS
+        assert assert_matches_all_pairs(points, 30.0) > 0
+
+
+class TestHypotDisagreements:
+    """Pairs at which np.hypot and math.hypot fall on opposite sides of the
+    range: the table follows math.hypot, the predicate's distance. The sink
+    is beyond the candidate, so the candidate is closer to it."""
+
+    def table(self, dx, dy, r):
+        positions = {0: Position(2.0 * dx, 2.0 * dy), 1: Position(0.0, 0.0),
+                     2: Position(dx, dy)}
+        return Topology(positions, sink=0, radio_range=r)
+
+    def test_in_range_by_math_hypot_alone(self):
+        dx, dy, r = 61.43358601869798, -95.47789389062397, 113.53463662207236
+        assert math.hypot(dx, dy) <= r < np.hypot(dx, dy)
+        topo = self.table(dx, dy, r)
+        assert topo.allowed_neighbor_ids(1) == [2]
+        assert is_allowed_neighbor(topo.positions[1], topo.positions[2],
+                                   topo.positions[0], r)
+
+    def test_out_of_range_by_math_hypot_alone(self):
+        dx, dy, r = 5.931065029676461, 30.264042625483825, 30.839743974672565
+        assert np.hypot(dx, dy) <= r < math.hypot(dx, dy)
+        topo = self.table(dx, dy, r)
+        assert topo.allowed_neighbor_ids(1) == []
+        assert topo.distance_to_sink(2) < topo.distance_to_sink(1)
 
 
 def pairs_in_range(points, radio_range):
@@ -447,9 +545,12 @@ def test_cell_index_checks_few_pairs(monkeypatch):
     side = 1000.0 * math.sqrt(n / 300)  # the default 300 nodes per km^2
     sim = Simulation(ScenarioConfig(node_count=n, grid_width=side, grid_height=side,
                                     rate_rt=0.001, rate_nrt=0.001, duration=1.0))
-    assert sum(len(st.allowed) for st in sim.nodes.values()) > n
+    entries = sum(len(st.allowed) for st in sim.nodes.values())
+    assert entries > n
     assert calls < 0.05 * n * n
-    assert len(sim.topology._cells) <= n
+    # the table holds one start per node and one id per allowed entry
+    start, allowed = sim.topology.allowed_table()
+    assert len(start) == n + 1 and len(allowed) == entries
     # each node's neighbour list holds the states of its allowed neighbours;
     # the lists link back to their owners, so repr and == must skip them
     sink = sim.nodes[SINK_ID]
