@@ -151,38 +151,38 @@ def cell_side(radio_range: float, extent: float) -> float:
     return max(radio_range, 1e-8 * max(1.0, extent))
 
 
-class _CellGrid:
-    """Points (finite, one or more) sorted by cell, and for each point the
-    slices of that order that hold the cells its span reaches.
+def _cell_slices(
+    xs: np.ndarray, ys: np.ndarray, radio_range: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points (finite, one or more) sorted by cell, and for each point
+    the slices of that order that hold the cells its span reaches:
+    (order, start, stop), point p's column k at order[start[p, k]:stop[p, k]].
 
     Cell (i, j) is keyed (i - i0) * width + (j - j0), which is >= 0 and
     orders the cells by column, then row. The cells of one column and the
     rows lo..hi are then one slice of the sorted points, so a span of 3 or
-    4 columns is 3 or 4 slices, found by binary search: point p's column k
-    is order[start[p, k]:stop[p, k]], and a 3-column span's fourth slice is
-    empty. Keys stay below 2**63, since |i|, |j| <= 1e8 + 2 (see cell_side).
+    4 columns is 3 or 4 slices, found by binary search; a 3-column span's
+    fourth slice is empty. Keys stay below 2**63, since |i|, |j| <= 1e8 + 2
+    (see cell_side).
     """
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
-        extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
-        cell = cell_side(radio_range, extent)
-        u = xs / cell
-        v = ys / cell
-        x_lo, x_hi = _cell_spans(u)
-        y_lo, y_hi = _cell_spans(v)
-        i0 = int(x_lo.min())
-        j0 = int(y_lo.min())
-        width = int(y_hi.max()) - j0 + 1
-        key = (np.floor(u).astype(np.int64) - i0) * width + (
-            np.floor(v).astype(np.int64) - j0
-        )
-        self.order = np.argsort(key, kind="stable")
-        key = key[self.order]
-        column = (x_lo[:, None] + np.arange(4) - i0) * width - j0
-        self.start = np.searchsorted(key, column + y_lo[:, None], "left")
-        self.stop = np.searchsorted(key, column + y_hi[:, None], "right")
-        three = x_hi - x_lo < 3
-        self.stop[three, 3] = self.start[three, 3]
+    extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
+    cell = cell_side(radio_range, extent)
+    u = xs / cell
+    v = ys / cell
+    x_lo, x_hi = _cell_spans(u)
+    y_lo, y_hi = _cell_spans(v)
+    i0 = int(x_lo.min())
+    j0 = int(y_lo.min())
+    width = int(y_hi.max()) - j0 + 1
+    key = (np.floor(u).astype(np.int64) - i0) * width + (np.floor(v).astype(np.int64) - j0)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    column = (x_lo[:, None] + np.arange(4) - i0) * width - j0
+    start = np.searchsorted(key, column + y_lo[:, None], "left")
+    stop = np.searchsorted(key, column + y_hi[:, None], "right")
+    three = x_hi - x_lo < 3
+    stop[three, 3] = start[three, 3]
+    return order, start, stop
 
 
 def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -> int:
@@ -195,8 +195,8 @@ def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -
     each two cells n and n' that reach each other.
     """
     xy = np.array(points, dtype=float)
-    grid = _CellGrid(xy[:, 0], xy[:, 1], radio_range)
-    reached = int((grid.stop - grid.start).sum())
+    _order, start, stop = _cell_slices(xy[:, 0], xy[:, 1], radio_range)
+    reached = int((stop - start).sum())
     # each point reaches itself once, and each other point of a pair that
     # can be in range reaches it
     return (reached - len(points)) // 2
@@ -217,13 +217,12 @@ def _allowed_neighbor_rows(
     n = len(points)
     xs = np.array([p.x for p in points], dtype=float)
     ys = np.array([p.y for p in points], dtype=float)
-    grid = _CellGrid(xs, ys, radio_range)
-    order = grid.order
-    # the candidates in the grid's order, where each slice is contiguous
+    order, first, stop = _cell_slices(xs, ys, radio_range)
+    # the candidates in cell order, where each slice is contiguous
     cand_x = xs[order]
     cand_y = ys[order]
     cand_dist = sink_dist[order]
-    lengths = grid.stop - grid.start
+    lengths = stop - first
     counts = lengths.sum(axis=1)
     ends = np.cumsum(counts)
     near = radio_range * _NEAR_RANGE + _NEAR_FLOOR
@@ -233,10 +232,10 @@ def _allowed_neighbor_rows(
     while begin < n:
         before = int(ends[begin - 1]) if begin else 0
         end = max(begin + 1, int(np.searchsorted(ends, before + _BLOCK_PAIRS, "right")))
-        # each candidate's place in the grid's order: its slice's start plus
+        # each candidate's place in the cell order: its slice's start plus
         # its offset in the slice
         seg_len = lengths[begin:end].ravel()
-        shift = grid.start[begin:end].ravel() - (np.cumsum(seg_len) - seg_len)
+        shift = first[begin:end].ravel() - (np.cumsum(seg_len) - seg_len)
         place = np.arange(int(ends[end - 1]) - before) + np.repeat(shift, seg_len)
         sender = np.repeat(np.arange(begin, end), counts[begin:end])
         closer = cand_dist[place] < sink_dist[sender]

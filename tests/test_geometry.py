@@ -431,8 +431,8 @@ class TestBulkTablesMatchAllPairs:
         # about 190 candidates per sender: several blocks of _BLOCK_PAIRS
         rng = np.random.default_rng(19)
         points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 100.0, (400, 2))]
-        grid = geometry._CellGrid(*np.array(points).T, 30.0)
-        pairs = int((grid.stop - grid.start).sum())
+        _order, start, stop = geometry._cell_slices(*np.array(points).T, 30.0)
+        pairs = int((stop - start).sum())
         assert pairs > 2 * geometry._BLOCK_PAIRS
         assert assert_matches_all_pairs(points, 30.0) > 0
 
