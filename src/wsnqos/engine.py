@@ -413,7 +413,7 @@ class Simulation:
             )
         # every hop _route picks is on these tables, so this checks that each
         # hop moves strictly closer to the sink; raise, not assert, so the
-        # check stays on under python -O. Node ids are 0..N-1 in order, so
+        # check stays on under python -O. Topology takes the ids 0..N-1, so
         # node i's neighbors are row i of the table
         topology = self.topology
         start, allowed = topology.allowed_table()

@@ -10,11 +10,12 @@ inside it, gives an estimate of the spacing between relays and hence of
 the number of hops left on a straight path to the sink.
 
 `Topology` builds every sender's allowed-neighbor list at construction, in
-one numpy pass over a uniform cell grid whose cell side is the radio range
-(the cell-list method of Hockney & Eastwood, 1981). The nodes are sorted by
-cell, column first, so the cells a sender's radio disk can touch in one
+one numpy pass over a uniform cell grid whose cell side is a little over the
+radio range (the cell-list method of Hockney & Eastwood, 1981), so every
+node in range of a sender lies in the 3 x 3 block of cells around it. The
+nodes are sorted by cell, column first, so the block's three cells in one
 column are one slice of that order, found by binary search; only the nodes
-in those 3 or 4 slices are candidates. The senders go in blocks of a fixed
+in those 3 slices are candidates. The senders go in blocks of a fixed
 number of candidate pairs, so the pass's temporaries do not grow with N.
 A candidate is kept when it is strictly closer to the sink, by the same
 math.hypot distances the predicate compares, and in range by np.hypot. The
@@ -28,8 +29,7 @@ slices to bound the pairs in range without checking any pair.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,69 +120,52 @@ _NEAR_RANGE = 2.0**-40
 _NEAR_FLOOR = 2.0**-1000
 
 
-def _cell_spans(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last cell index along one axis that senders at cell
-    coordinates u reach.
-
-    u = fl(x / c) for the cell side c >= max(r, 1e-8), and eps = 2**-53.
-    A candidate at x' that passes the predicate has
-    hypot(fl(x - x'), fl(y - y')) <= r, and math.hypot errs by under one
-    ulp, so |x - x'| <= r * (1 + 5 eps) <= c * (1 + 5 eps). Each division
-    by c adds at most eps * |x / c|, so |u - u'| <= 1 + eps * (10 + 4 |u|),
-    plus subnormal round-off under 1e-300. The margin 1e-9 * max(1, |u|)
-    exceeds that, and the rounding of u +- reach, by over five orders of
-    magnitude, and floor is monotone, so floor(u') lies in
-    [floor(u - reach), floor(u + reach)]. That is the sender's cell and its
-    two neighbors, plus one more only when u is within the margin of a cell
-    edge: a bare 3-cell span can miss an in-range candidate that rounding
-    put two cells away.
-    """
-    reach = 1.0 + 1e-9 * np.maximum(1.0, np.abs(u))
-    return np.floor(u - reach).astype(np.int64), np.floor(u + reach).astype(np.int64)
-
-
 def cell_side(radio_range: float, extent: float) -> float:
     """Side of the cell grid for nodes whose coordinates are at most
-    `extent` in magnitude: the radio range, widened only for a range under
-    1e-8 of max(1, extent). Then |x / side| <= 1e8, so the margin in
-    _cell_spans stays under 0.1 cell, and subnormal round-off is far below
-    it. Any side of at least the range keeps the argument in _cell_spans.
+    `extent` in magnitude: the radio range plus a relative slack of 2**-20,
+    widened only for a range under 1e-8 of max(1, extent), so that
+    |x / side| <= 1e8.
+
+    Then a candidate in range of a sender lies in the sender's cell or one
+    of the eight around it (the cell-list method's rule). With eps = 2**-53,
+    a pair that passes the predicate has hypot(fl(x - x'), fl(y - y')) <= r,
+    and math.hypot errs by under one ulp, so |x - x'| <= r * (1 + 5 eps),
+    which is under side * (1 - 2**-21). u = fl(x / side) and u' each err by
+    at most eps * 1e8, about 1.1e-8, plus subnormal round-off under 1e-300,
+    so |u - u'| < 1 and floor(u') is within one of floor(u). A range so
+    near the largest float that the side overflows to inf puts every point
+    in cell 0, where each reaches all the others.
     """
-    return max(radio_range, 1e-8 * max(1.0, extent))
+    return max(radio_range * (1.0 + 2.0**-20), 1e-8 * max(1.0, extent))
 
 
 def _cell_slices(
     xs: np.ndarray, ys: np.ndarray, radio_range: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points (finite, one or more) sorted by cell, and for each point
-    the slices of that order that hold the cells its span reaches:
+    the slices of that order that hold its 3 x 3 block of cells:
     (order, start, stop), point p's column k at order[start[p, k]:stop[p, k]].
 
     Cell (i, j) is keyed (i - i0) * width + (j - j0), which is >= 0 and
-    orders the cells by column, then row. The cells of one column and the
-    rows lo..hi are then one slice of the sorted points, so a span of 3 or
-    4 columns is 3 or 4 slices, found by binary search; a 3-column span's
-    fourth slice is empty. Keys stay below 2**63, since |i|, |j| <= 1e8 + 2
-    (see cell_side).
+    orders the cells by column, then row; i0, j0 and width leave a free
+    column and row around the occupied cells. The rows j - 1..j + 1 of one
+    column are then one slice of the sorted points, found by binary search.
+    Keys stay below 2**63, since |i|, |j| <= 1e8 + 1 (see cell_side).
     """
     extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
-    cell = cell_side(radio_range, extent)
-    u = xs / cell
-    v = ys / cell
-    x_lo, x_hi = _cell_spans(u)
-    y_lo, y_hi = _cell_spans(v)
-    i0 = int(x_lo.min())
-    j0 = int(y_lo.min())
-    width = int(y_hi.max()) - j0 + 1
-    key = (np.floor(u).astype(np.int64) - i0) * width + (np.floor(v).astype(np.int64) - j0)
+    side = cell_side(radio_range, extent)
+    i = np.floor(xs / side).astype(np.int64)
+    j = np.floor(ys / side).astype(np.int64)
+    i0 = int(i.min()) - 1
+    j0 = int(j.min()) - 1
+    width = int(j.max()) - j0 + 2
+    key = (i - i0) * width + (j - j0)
     order = np.argsort(key, kind="stable")
+    # each point's own row in the column to its left, its own and its right
+    row = key[:, None] + width * np.arange(-1, 2)
     key = key[order]
-    column = (x_lo[:, None] + np.arange(4) - i0) * width - j0
-    start = np.searchsorted(key, column + y_lo[:, None], "left")
-    stop = np.searchsorted(key, column + y_hi[:, None], "right")
-    three = x_hi - x_lo < 3
-    stop[three, 3] = start[three, 3]
-    return order, start, stop
+    start = np.searchsorted(key, row - 1, "left")
+    return order, start, np.searchsorted(key, row + 1, "right")
 
 
 def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -> int:
@@ -190,15 +173,15 @@ def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -
     within radio_range of each other, from the occupancy of Topology's cells
     and no pair checks.
 
-    A point can be in range only of the points in the cells its span
-    reaches, so the bound is C(n, 2) for a cell of n points plus n * n' for
-    each two cells n and n' that reach each other.
+    A point can be in range only of the points in its 3 x 3 block of cells,
+    so the bound is C(n, 2) for a cell of n points plus n * n' for each two
+    cells n and n' that touch, at a side or a corner.
     """
     xy = np.array(points, dtype=float)
     _order, start, stop = _cell_slices(xy[:, 0], xy[:, 1], radio_range)
     reached = int((stop - start).sum())
-    # each point reaches itself once, and each other point of a pair that
-    # can be in range reaches it
+    # each point's block holds the point itself once, and each other point
+    # of a pair that can be in range holds it
     return (reached - len(points)) // 2
 
 
@@ -209,8 +192,8 @@ def _allowed_neighbor_rows(
     point i's in ascending order at rows[start[i]:start[i + 1]].
 
     sink_dist[i] is distance(points[i], sink). The senders go in blocks of
-    about _BLOCK_PAIRS candidates, the points in the cells their spans
-    reach. A candidate must be strictly closer to the sink, by the same
+    about _BLOCK_PAIRS candidates, the points in their 3 x 3 blocks of
+    cells. A candidate must be strictly closer to the sink, by the same
     floats the predicate compares, and in range by np.hypot, except that a
     pair near the range is decided by is_allowed_neighbor itself.
     """
@@ -257,59 +240,52 @@ def _allowed_neighbor_rows(
     return start, np.concatenate(rows)
 
 
-@dataclass(frozen=True)
 class Topology:
-    """Immutable node placement: id -> position, plus sink id and radio range.
+    """Node placement: the positions of node ids 0..N-1, plus the sink id
+    and the radio range, read-only by convention.
 
     Every node's allowed neighbors are found once, at construction.
     """
 
-    positions: dict[int, Position]
-    sink: int
-    radio_range: float
-    _sink_dist: dict[int, float] = field(init=False, repr=False, compare=False)
-    # the node ids in ascending order; row i of the table is _ids[i]'s
-    _ids: list[int] = field(init=False, repr=False, compare=False)
-    # row i's allowed neighbor ids, ascending, are
-    # _neighbors[_start[i]:_start[i + 1]]
-    _start: np.ndarray = field(init=False, repr=False, compare=False)
-    _neighbors: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.sink not in self.positions:
-            raise ValueError(f"sink id {self.sink} has no position")
-        if not self.radio_range > 0.0:
+    def __init__(
+        self, positions: dict[int, Position], sink: int, radio_range: float
+    ) -> None:
+        try:
+            points = [positions[nid] for nid in range(len(positions))]
+        except KeyError:
+            raise ValueError(f"node ids must be 0..{len(positions) - 1}") from None
+        if sink not in positions:
+            raise ValueError(f"sink id {sink} has no position")
+        if not radio_range > 0.0:
             raise ValueError("radio_range must be > 0")
-        ids = sorted(self.positions)
-        points = [self.positions[nid] for nid in ids]
-        for nid, p in zip(ids, points):
+        for nid, p in enumerate(points):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValueError(f"node {nid} has a non-finite position {p}")
-        sink_pos = self.positions[self.sink]
-        sink_dist = [distance(p, sink_pos) for p in points]
-        start, rows = _allowed_neighbor_rows(
-            points, sink_pos, np.array(sink_dist), self.radio_range
+        self.positions = positions
+        self.sink = sink
+        self.radio_range = radio_range
+        sink_pos = positions[sink]
+        self._sink_dist = [distance(p, sink_pos) for p in points]
+        # node i's allowed neighbor ids, ascending, are
+        # _neighbors[_start[i]:_start[i + 1]]
+        self._start, self._neighbors = _allowed_neighbor_rows(
+            points, sink_pos, np.array(self._sink_dist), radio_range
         )
-        neighbors = np.array(ids, dtype=np.int64)[rows]
-        start.flags.writeable = neighbors.flags.writeable = False
-        object.__setattr__(self, "_sink_dist", dict(zip(ids, sink_dist)))
-        object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_neighbors", neighbors)
+        self._start.flags.writeable = self._neighbors.flags.writeable = False
 
     def distance_to_sink(self, node_id: int) -> float:
+        if not 0 <= node_id < len(self._sink_dist):
+            raise KeyError(node_id)
         return self._sink_dist[node_id]
 
     def allowed_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's allowed neighbors at once: (start, ids), where the
-        node at place i of the ascending node ids has its neighbors' ids,
-        ascending, at ids[start[i]:start[i + 1]]. Both arrays are the
-        topology's own, and read-only."""
+        """Every node's allowed neighbors at once: (start, ids), node i's
+        neighbors' ids, ascending, at ids[start[i]:start[i + 1]]. Both arrays
+        are the topology's own, and read-only."""
         return self._start, self._neighbors
 
     def allowed_neighbor_ids(self, sender: int) -> list[int]:
         """Ids (sorted) inside the sender's allowed region, sender excluded."""
-        row = bisect_left(self._ids, sender)
-        if row == len(self._ids) or self._ids[row] != sender:
+        if not 0 <= sender < len(self._sink_dist):
             raise KeyError(sender)
-        return self._neighbors[self._start[row] : self._start[row + 1]].tolist()
+        return self._neighbors[self._start[sender] : self._start[sender + 1]].tolist()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_geometry import all_pairs_allowed
 
 import wsnqos
-from wsnqos import cli
+from wsnqos import cli, geometry
 from wsnqos.cli import METRICS_COLUMNS, TIMELINE_COLUMNS, main
 from wsnqos.config import (
     _SCALAR_KEYS,
@@ -471,12 +471,15 @@ def test_every_scenario_runs_or_is_a_config_error(text):
 @st.composite
 def accepted_scenario_text(draw):
     """A scenario that parse_config accepts, so its run is exercised: at most
-    40 nodes and 0.05 s, pins (some on multiples of the radio range, so on
-    cell edges, and some on another pin), per-link losses and sources."""
+    40 nodes and 0.05 s, pins (some on multiples of the radio range, so a
+    range apart, or of the cell side, so on cell edges, and some on another
+    pin), per-link losses, sources and, in some, a timeline bucket of its
+    own."""
     n = draw(st.integers(2, 40))
     width = draw(st.floats(1.0, 500.0))
     height = draw(st.floats(1.0, 500.0))
     r = draw(st.floats(1.0, 200.0))
+    duration = draw(st.floats(1e-3, 0.05))
     lines = [
         f"node_count = {n}",
         f"grid.width = {width!r}",
@@ -484,7 +487,7 @@ def accepted_scenario_text(draw):
         f"sink.x = {draw(st.floats(0.0, width))!r}",
         f"sink.y = {draw(st.floats(0.0, height))!r}",
         f"radio.range = {r!r}",
-        f"duration = {draw(st.floats(1e-3, 0.05))!r}",
+        f"duration = {duration!r}",
         f"rate.rt = {draw(st.floats(0.0, 200.0))!r}",
         f"rate.nrt = {draw(st.floats(0.0, 200.0))!r}",
         f"loss = {draw(st.floats(0.0, 1.0))!r}",
@@ -493,9 +496,18 @@ def accepted_scenario_text(draw):
         f"seed = {draw(st.integers(0, 2**64 - 1))}",
     ]
 
+    if draw(st.booleans()):
+        # up to 10^4 rows, or one row for a bucket past the duration
+        bucket = duration / draw(st.floats(0.5, 1e4))
+        lines.append(f"timeline_bucket = {bucket!r}")
+    # the pins' cell side: a range of 1 or more is not widened for them
+    side = geometry.cell_side(r, 500.0)
+
     def coord(extent):
-        on_edge = st.integers(0, int(extent // r)).map(lambda k: min(k * r, extent))
-        return draw(st.one_of(st.floats(0.0, extent), on_edge))
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, extent))
+        k = draw(st.integers(0, int(extent // r)))
+        return min(k * draw(st.sampled_from([r, side])), extent)
 
     pins = []
     for nid in draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1)):

@@ -1,9 +1,10 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsnqos import geometry
@@ -206,6 +207,27 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology({1: Position(0, 0)}, sink=0, radio_range=10.0)
 
+    @pytest.mark.parametrize("ids", [(0, 2), (1, 2)])
+    def test_ids_other_than_zero_to_n_rejected(self, ids):
+        positions = {nid: Position(float(nid), 0.0) for nid in ids}
+        with pytest.raises(ValueError, match="node ids"):
+            Topology(positions, sink=2, radio_range=10.0)
+
+    @pytest.mark.parametrize("nid", [-1, 5])
+    def test_ids_outside_the_nodes_are_key_errors(self, nid):
+        # -1 must not wrap to the last node
+        topo = self.make()
+        with pytest.raises(KeyError):
+            topo.distance_to_sink(nid)
+        with pytest.raises(KeyError):
+            topo.allowed_neighbor_ids(nid)
+
+    def test_allowed_table_is_read_only(self):
+        start, ids = self.make().allowed_table()
+        assert not start.flags.writeable and not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 4
+
 
 def all_pairs_allowed(topo, sender):
     """The all-pairs scan the cell index replaced, kept as the reference."""
@@ -231,22 +253,24 @@ def assert_matches_all_pairs(points, radio_range, sink=0):
     return total
 
 
-def lattice(radio_range, span, origin=(0.0, 0.0)):
-    """Points on exact multiples of radio_range: every one on a cell edge."""
+def lattice(step, span, origin=(0.0, 0.0)):
+    """Points on exact multiples of step, a range apart for step = r."""
     ox, oy = origin
     return [
-        (ox + i * radio_range, oy + j * radio_range)
+        (ox + i * step, oy + j * step)
         for i in range(-span, span + 1)
         for j in range(-span, span + 1)
     ]
 
 
-# drawn nodes (x, y, ulps): a float coordinate is used as is, an integer k
-# is the cell multiple k * r moved by `ulps` ulps
+# drawn nodes (x, y, ulps): a float coordinate is used as is, a pair
+# (k, on_side) is k times the cell side (on_side) or k times r, moved by
+# `ulps` ulps
+cell_multiple = st.tuples(st.integers(-20, 20), st.booleans())
 layout_nodes = st.lists(
     st.tuples(
-        st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
-        st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)),
+        st.one_of(st.floats(-1e3, 1e3), cell_multiple),
+        st.one_of(st.floats(-1e3, 1e3), cell_multiple),
         st.integers(-2, 2),
     ),
     min_size=1,
@@ -255,11 +279,19 @@ layout_nodes = st.lists(
 
 
 def layout_points(r, nodes):
-    """A node at the origin, then the drawn nodes at radio range r."""
+    """A node at the origin, then the drawn nodes at radio range r.
+
+    cell_side(r, 1e3) is the layout's cell side: for a range of 1e-3 or
+    more it is r * (1 + 2**-20) at any extent these draws reach, and a
+    smaller range's layout is given a point at (1e3, 1e3).
+    """
+    side = geometry.cell_side(r, 1e3)
+
     def coord(c, ulps):
         if isinstance(c, float):
             return c
-        v = c * r
+        k, on_side = c
+        v = k * (side if on_side else r)
         for _ in range(abs(ulps)):
             v = math.nextafter(v, math.copysign(math.inf, ulps))
         return v
@@ -386,17 +418,6 @@ def bulk_points(r, layout):
     return points
 
 
-def four_cell_senders(points, r):
-    """Points whose span of cells is four wide along some axis."""
-    xs, ys = np.array(points).T
-    extent = float(max(np.abs(xs).max(), np.abs(ys).max()))
-    cell = geometry.cell_side(r, extent)
-    return sum(
-        int((hi - lo == 3).sum())
-        for lo, hi in (geometry._cell_spans(xs / cell), geometry._cell_spans(ys / cell))
-    )
-
-
 class TestBulkTablesMatchAllPairs:
     """The one numpy pass that builds every table, against the all-pairs scan,
     with blocks of 1 to 64 candidate pairs so that layouts span many blocks
@@ -418,12 +439,20 @@ class TestBulkTablesMatchAllPairs:
         with mock.patch.object(geometry, "_BLOCK_PAIRS", block):
             assert_matches_all_pairs(points, r)
 
-    def test_lattice_senders_reach_four_cells(self):
+    def test_lattice_on_cell_side_multiples(self):
+        # every node on a cell corner or one ulp either side of it, some
+        # with a partner one range away along an axis
         r = 10.0
-        points = lattice(r, 3)
-        points += [(math.nextafter(x, math.inf), math.nextafter(y, -math.inf))
-                   for x, y in lattice(r, 3)]
-        assert four_cell_senders(points, r) > 40
+        side = geometry.cell_side(r, 1e3)
+        assert side > r
+        points = lattice(side, 3)
+        for step in (-math.inf, math.inf):
+            points += [(math.nextafter(x, step), math.nextafter(y, -step))
+                       for x, y in lattice(side, 3)]
+        points += [(x + r, y) for x, y in lattice(side, 2)]
+        points += [(x, y - r) for x, y in lattice(side, 2)]
+        # the extent stays under 1e3, so the points' cell side is `side`
+        assert geometry.cell_side(r, max(map(abs, np.ravel(points)))) == side
         with mock.patch.object(geometry, "_BLOCK_PAIRS", 7):
             assert assert_matches_all_pairs(points, r) > 0
 
@@ -435,6 +464,57 @@ class TestBulkTablesMatchAllPairs:
         pairs = int((stop - start).sum())
         assert pairs > 2 * geometry._BLOCK_PAIRS
         assert assert_matches_all_pairs(points, 30.0) > 0
+
+
+class TestThreeByThreeBlock:
+    """Two points in range of each other lie in the same or adjacent cells on
+    each axis, so a sender's 3 x 3 block of cells holds every candidate."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        r=st.one_of(
+            st.floats(1e-3, 500.0),
+            # widened cells, and a side that overflows to inf
+            st.sampled_from([1e-12, 1e-100, 1e-300, 1e-320, 5e-324, 1e308,
+                             sys.float_info.max]),
+        ),
+        extent=st.floats(1.0, 1e12),
+        data=st.data(),
+    )
+    def test_in_range_pairs_are_at_most_one_cell_apart(self, r, extent, data):
+        side = geometry.cell_side(r, extent)
+        # up to 1e8 cells from the origin, where the cells are widened
+        cells = int(extent / side)
+
+        def coord():
+            if not (cells and data.draw(st.booleans())):
+                return data.draw(st.floats(-extent, extent))
+            v = data.draw(st.integers(-cells, cells)) * side
+            ulps = data.draw(st.integers(-2, 2))
+            for _ in range(abs(ulps)):
+                v = math.nextafter(v, math.copysign(math.inf, ulps))
+            return v
+
+        a = (coord(), coord())
+        dx, dy = data.draw(st.one_of(
+            st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r),
+                             (0.6 * r, 0.8 * r), (-0.6 * r, -0.8 * r)]),
+            st.tuples(st.floats(-r, r), st.floats(-r, r)),
+        ))
+        b = (a[0] + dx, a[1] + dy)
+        assume(distance(Position(*a), Position(*b)) <= r)
+        # the side of a layout with both points and others out to `extent`
+        side = geometry.cell_side(r, max(extent, *map(abs, a + b)))
+        for u, v in zip(a, b):
+            assert abs(math.floor(u / side) - math.floor(v / side)) <= 1
+
+    def test_a_range_near_the_largest_float_gives_one_cell(self):
+        r = sys.float_info.max
+        assert geometry.cell_side(r, 1.0) == math.inf
+        points = [(0.0, 0.0), (-1e307, 1e307), (1e307, 5e306), (1.0, -1e307)]
+        order, start, stop = geometry._cell_slices(*np.array(points).T, r)
+        assert (stop - start).sum(axis=1).tolist() == [4] * 4
+        assert_matches_all_pairs(points, r)
 
 
 class TestHypotDisagreements:
