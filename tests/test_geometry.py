@@ -512,7 +512,7 @@ class TestThreeByThreeBlock:
         r = sys.float_info.max
         assert geometry.cell_side(r, 1.0) == math.inf
         points = [(0.0, 0.0), (-1e307, 1e307), (1e307, 5e306), (1.0, -1e307)]
-        order, start, stop = geometry._cell_slices(*np.array(points).T, r)
+        _order, start, stop = geometry._cell_slices(*np.array(points).T, r)
         assert (stop - start).sum(axis=1).tolist() == [4] * 4
         assert_matches_all_pairs(points, r)
 
