@@ -1,13 +1,14 @@
 """Deterministic discrete-event core.
 
-One run owns an event calendar keyed by (time, sequence), per-node state
-(battery, dual priority queues, arrival-rate estimates, and one record per
-outgoing link that has carried a send) and a metrics ledger. The calendar
-has two parts: a heap holds each traffic stream's next arrival with its
-cursor, so a stream with none left or a dead source holds nothing, and
-the ends of sends ride a FIFO. Every send lasts the same transmission
-time x and starts at the current time, which never decreases, so sends
-end in the order they start.
+One run owns an event calendar keyed by (time, sequence), the node states
+in a list indexed by node id (battery, dual priority queues, arrival-rate
+estimates, and a Link, which is its own PRR window, per outgoing link that
+has carried a send) and a metrics ledger; events name nodes by their
+states. The calendar has two parts: a heap holds each traffic stream's
+next arrival with its cursor, so a stream with none left or a dead source
+holds nothing, and the ends of sends ride a FIFO. Every send lasts the
+same transmission time x and starts at the current time, which never
+decreases, so sends end in the order they start.
 
 Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
@@ -323,20 +324,20 @@ def poisson_arrival_times(
     return times[times <= horizon]
 
 
-class Link:
-    """What one directed link's sends share over a run, built on its first
-    send: the transmit energy of a packet over it, its loss probability,
-    the generator of its loss draws (None when the loss is 0), the
-    sender's reception statistics for it and the number of sends that
-    left the sender's radio."""
+class Link(LinkStats):
+    """One directed link's record, built on its first send: the sender's PRR
+    window for it, the transmit energy of a packet over it, its loss
+    probability, the generator of its loss draws (None when the loss is 0)
+    and `sent`, the sends that left the sender's radio over the whole run,
+    where sent_count counts only the outcomes in the window."""
 
-    __slots__ = ("tx_cost", "loss", "loss_rng", "stats", "sent")
+    __slots__ = ("tx_cost", "loss", "loss_rng", "sent")
 
-    def __init__(self, tx_cost, loss, loss_rng, stats):
+    def __init__(self, tx_cost, loss, loss_rng, window):
+        super().__init__(window)
         self.tx_cost = tx_cost
         self.loss = loss
         self.loss_rng = loss_rng
-        self.stats = stats
         self.sent = 0
 
 
@@ -390,9 +391,9 @@ class Simulation:
         # comparison, in the heap or between the heads, reaches a later
         # field. The heap holds each stream's next generation, (time, seq,
         # node, cls, arrivals), with the stream's cursor; a send's end is
-        # (time, seq, node, packet, target), target an id. node is a
-        # NodeState. Sends last x and start now, which never decreases, so
-        # they are made in (time, seq) order and ride a FIFO
+        # (time, seq, node, packet, target). node and target are NodeStates.
+        # Sends last x and start now, which never decreases, so they are
+        # made in (time, seq) order and ride a FIFO
         self.heap: list[tuple] = []
         self.completions: deque[tuple] = deque()
         self._timeline_points = cfg.timeline_points()
@@ -402,22 +403,22 @@ class Simulation:
         )
 
         self.topology = self._place_nodes()
-        self.nodes: dict[int, NodeState] = {}
-        for nid in self.topology.positions:
-            self.nodes[nid] = NodeState(
+        self.nodes: list[NodeState] = [
+            NodeState(
                 node_id=nid,
                 battery=Battery(math.inf if nid == SINK_ID else cfg.initial_energy),
                 queues=NodeQueues(capacity=cfg.queue_capacity),
                 rate_rt=RateEstimator(cfg.rate_tau),
                 rate_nrt=RateEstimator(cfg.rate_tau),
             )
+            for nid in range(cfg.node_count)
+        ]
         # every hop _route picks is on these tables, so this checks that each
         # hop moves strictly closer to the sink; raise, not assert, so the
-        # check stays on under python -O. Topology takes the ids 0..N-1, so
-        # node i's neighbors are row i of the table
+        # check stays on under python -O
         topology = self.topology
         start, allowed = topology.allowed_table()
-        dist = np.array(list(map(topology.distance_to_sink, self.nodes)))
+        dist = np.array(list(map(topology.distance_to_sink, range(cfg.node_count))))
         owner = np.repeat(np.arange(len(dist)), np.diff(start))
         bad = np.flatnonzero(~(dist[allowed] < dist[owner]))
         if bad.size:
@@ -426,10 +427,9 @@ class Simulation:
                 f"allowed neighbor {allowed[i]} of node {owner[i]} is no closer "
                 "to the sink"
             )
-        states = list(self.nodes.values())
-        neighbors = [states[a] for a in allowed.tolist()]
+        neighbors = list(map(self.nodes.__getitem__, allowed.tolist()))
         bounds = start.tolist()
-        for st, a, b in zip(states, bounds, bounds[1:]):
+        for st, a, b in zip(self.nodes, bounds, bounds[1:]):
             st.allowed = neighbors[a:b]
 
         self.source_set = set(cfg.source_ids())
@@ -596,8 +596,8 @@ class Simulation:
             if packet is None or self._serve(node, packet):
                 return
 
-    def _route(self, node: NodeState, packet: Packet) -> int | DropCause:
-        """Next hop for the packet, or the cause to drop it.
+    def _route(self, node: NodeState, packet: Packet) -> NodeState | DropCause:
+        """Next hop's state for the packet, or the cause to drop it.
 
         One pass over the allowed, alive neighbors gives what
         build_neighbor_table, min_finite_delay, predictive_drop_check and
@@ -638,9 +638,9 @@ class Simulation:
 
         The pass makes no call per candidate. Its two arrival rates repeat
         RateEstimator.rate_at on the estimator's fields, with the same float
-        operations in the same order, and its PRR is LinkStats.ratio, the
-        value LinkStats.prr returns. A negative arrival rate is an error,
-        checked on each alive candidate's stored levels, skipped or not.
+        operations in the same order, and its PRR is Link.ratio, the value
+        LinkStats.prr returns. A negative arrival rate is an error, checked
+        on each alive candidate's stored levels, skipped or not.
         """
         now = self.now
         exp = math.exp
@@ -679,7 +679,7 @@ class Simulation:
                 raise ValueError(f"arrival rate must be >= 0, got {level1}, {level2}")
             usable = battery.level - rx_cost
             link = links.get(st.node_id)
-            prr = 1.0 if link is None else link.stats.ratio
+            prr = 1.0 if link is None else link.ratio
             if usable > 0.0 and prr > 0.0:
                 energy_term = beta / usable
                 prr_term = gamma / prr
@@ -712,16 +712,16 @@ class Simulation:
             cost = alpha * delay + energy_term + prr_term
             if cost < best_cost:
                 best_cost = cost
-                best = st.node_id
+                best = st
         if keep is False:
             return DropCause.PREDICTIVE
         if best is None:
             return DropCause.NO_ROUTE
         return best
 
-    def _deliver(self, sender: NodeState, packet: Packet, target_id: int) -> None:
-        target = self.nodes[target_id]
-        link = sender.links.get(target_id)
+    def _deliver(self, sender: NodeState, packet: Packet, target: NodeState) -> None:
+        """End a send to target, the NodeState _route chose for it."""
+        link = sender.links.get(target.node_id)
         if link is None:
             link = self._new_link(sender, target)
         self.metrics.total_energy += sender.battery.debit(link.tx_cost)
@@ -730,30 +730,29 @@ class Simulation:
             self._drop(packet, DropCause.NODE_DEATH)
             return
         link.sent += 1
-        stats = link.stats
         if link.loss > 0.0 and link.loss_rng.random() < link.loss:
-            stats.record_outcome(False)
+            link.record_outcome(False)
             self._drop(packet, DropCause.LINK_LOSS)
             return
-        if target_id == SINK_ID:
-            stats.record_outcome(True)
+        if target.node_id == SINK_ID:
+            link.record_outcome(True)
             if packet.deadline < self.now:
                 self._drop(packet, DropCause.EXPIRED)
                 return
             self._record_delivery(packet)
             return
         if not target.battery.alive:
-            stats.record_outcome(False)
+            link.record_outcome(False)
             self._drop(packet, DropCause.NODE_DEATH)
             return
         self.metrics.total_energy += target.battery.debit(self._rx_cost)
         if not target.battery.alive:
             self._kill(target)
-            stats.record_outcome(False)
+            link.record_outcome(False)
             self._drop(packet, DropCause.NODE_DEATH)
             return
         target.received += 1
-        stats.record_outcome(True)
+        link.record_outcome(True)
         rate = target.rate_rt if packet.cls is TrafficClass.RT else target.rate_nrt
         rate.observe(self.now)
         if packet.deadline < self.now:
@@ -798,7 +797,7 @@ class Simulation:
                       self.radio),
             loss,
             stream_rng(cfg.seed, f"loss/{u}/{v}") if loss > 0.0 else None,
-            LinkStats(cfg.prr_window),
+            cfg.prr_window,
         )
         sender.links[v] = link
         return link
@@ -824,7 +823,7 @@ class Simulation:
         m = self.metrics
         m.end_time = self.now
         in_flight = 0
-        for nid, st in self.nodes.items():
+        for nid, st in enumerate(self.nodes):
             queues = st.queues
             in_flight += len(queues.rt) + len(queues.nrt)
             if queues.in_service is not None:

@@ -1,9 +1,9 @@
 """Sliding-window packet reception rate (PRR) per directed link.
 
-PRR = received / sent over the last `window` transmissions. A link that was
-never used reports 1.0 so that a fresh neighbor gets the minimum reliability
-penalty in the routing cost instead of an infinite one; real losses push the
-estimate down as outcomes accumulate.
+PRR = received / sent over the last `window` transmissions; a never-used
+link reports 1.0, the minimum reliability penalty in the routing cost rather
+than an infinite one. engine.Link subclasses LinkStats, so each directed
+link is one slotted record of its send costs and its window.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ class LinkStats:
     `ratio` is the current PRR, kept up to date by record_outcome; prr()
     returns it, and Simulation._route reads the field directly.
     """
+
+    __slots__ = ("window", "_outcomes", "_received", "ratio")
 
     def __init__(self, window: int = 100):
         if window < 1:

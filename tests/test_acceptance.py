@@ -148,12 +148,12 @@ def test_criterion_5_next_hop_matches_exhaustive_scan():
     agreements = 0
     trials = 1000
     for _ in range(trials):
-        n = int(rng.integers(1, 40))
-        ids = [int(i) for i in rng.choice(500, size=n, replace=False)]
+        n = int(rng.integers(1, 51))
+        ids = [int(i) for i in rng.choice(1000, size=n, replace=False)]
         table = []
         for nid in ids:
-            delay = math.inf if rng.random() < 0.15 else float(rng.uniform(1e-4, 0.5))
-            energy = float(rng.uniform(-0.2, 2.0))
+            delay = math.inf if rng.random() < 0.15 else float(rng.uniform(1e-4, 1.0))
+            energy = float(rng.uniform(-0.5, 2.0))
             prr = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.05, 1.0))
             table.append(
                 NeighborEntry(nid, delay, energy, prr, link_cost(delay, energy, prr, weights))

@@ -547,7 +547,7 @@ def test_every_accepted_scenario_runs_on_the_all_pairs_tables(text):
         with mock.patch.object(cli, "run", recorded_run):
             assert main(["--config", str(path), "--out", tmp, "--quiet"]) == 0
         (sim,) = sims
-        for nid, state in sim.nodes.items():
+        for nid, state in enumerate(sim.nodes):
             allowed = [s.node_id for s in state.allowed]
             assert allowed == all_pairs_allowed(sim.topology, nid), nid
         _, (metrics,) = read_rows(Path(tmp) / "metrics.csv")

@@ -406,7 +406,7 @@ class TestChainForwarding:
             duration=10.0,
         ))
         assert sim.topology.distance_to_sink(1) == sim.topology.distance_to_sink(2)
-        assert [st.allowed for st in sim.nodes.values()] == [[], [], []]
+        assert [st.allowed for st in sim.nodes] == [[], [], []]
         m = sim.run()
         assert m.generated_total() == m.drop_count(DropCause.NO_ROUTE) == 93
         assert m.tx_by_link == Counter()
@@ -634,19 +634,18 @@ class DeathBranchRecorder(Simulation):
             )
         super()._kill(node)
 
-    def _deliver(self, sender, packet, target_id):
+    def _deliver(self, sender, packet, target):
         self.sends.add((sender.node_id, packet.packet_id))
-        target = self.nodes[target_id]
         if target.battery.alive:
-            super()._deliver(sender, packet, target_id)
+            super()._deliver(sender, packet, target)
             return
-        link = sender.links.get(target_id)
+        link = sender.links.get(target.node_id)
         sent = 0 if link is None else link.sent
         consumed, received = target.battery.consumed, target.received
         drops, outcomes = len(self.drops), len(self.outcomes)
-        super()._deliver(sender, packet, target_id)
+        super()._deliver(sender, packet, target)
         self.dead_target_sends.append({
-            "sent": sender.links[target_id].sent - sent,
+            "sent": sender.links[target.node_id].sent - sent,
             "drops": [cause for _p, cause in self.drops[drops:]],
             "outcomes": self.outcomes[outcomes:],
             "target_debit": target.battery.consumed - consumed,
@@ -955,9 +954,9 @@ class EventOrderRecorder(Simulation):
         self.handled.append(("generation", self.now))
         super()._on_generated(node, cls, arrivals)
 
-    def _deliver(self, sender, packet, target_id):
+    def _deliver(self, sender, packet, target):
         self.handled.append(("completion", self.now))
-        super()._deliver(sender, packet, target_id)
+        super()._deliver(sender, packet, target)
 
 
 class SortedCompletions(deque):
@@ -1049,7 +1048,7 @@ class TestArrivalRule:
                 raise AssertionError(f"packet {packet.packet_id} was queued")
 
         sim = Simulation(chain_cfg(rate_rt=1.0, duration=100.0))
-        for st in sim.nodes.values():
+        for st in sim.nodes:
             st.queues.rt, st.queues.nrt = NoAppend(), NoAppend()
         m, packets, traces = run_with_deliveries(sim)
         assert enqueue_calls["enqueue"] == 0
@@ -1103,7 +1102,7 @@ def reference_route(sim, node, packet, alive_count=None):
                 node_id=nid,
                 residual_energy=st.battery.residual,
                 queue_params=loads,
-                prr=1.0 if link is None else link.stats.prr(),
+                prr=1.0 if link is None else link.prr(),
             )
         )
     if not views:
@@ -1127,6 +1126,17 @@ def reference_route(sim, node, packet, alive_count=None):
                 return DropCause.PREDICTIVE, table
     choice = select_next_hop(table, sim.weights)
     return (DropCause.NO_ROUTE if choice is None else choice), table
+
+
+def routed(sim, node, packet):
+    """Simulation._route's decision as reference_route gives it: a drop
+    cause, or the chosen next hop's id. The hop comes as a NodeState, the
+    one Simulation.nodes holds for that id."""
+    decision = sim._route(node, packet)
+    if isinstance(decision, DropCause):
+        return decision
+    assert decision is sim.nodes[decision.node_id]
+    return decision.node_id
 
 
 class TestRouteMatchesReference:
@@ -1193,7 +1203,7 @@ class TestRouteMatchesReference:
             if outcomes:
                 link = sim._new_link(sender, st)
                 for delivered in outcomes:
-                    link.stats.record_outcome(delivered)
+                    link.record_outcome(delivered)
         forget_hops(sender)
 
     def test_random_states_match_exactly(self):
@@ -1210,7 +1220,7 @@ class TestRouteMatchesReference:
                 i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
             )
             expected, table = reference_route(sim, node, packet)
-            assert sim._route(node, packet) == expected
+            assert routed(sim, node, packet) == expected
             trials += 1
             seen[expected if isinstance(expected, DropCause) else "hop"] += 1
             seen[cls] += 1
@@ -1275,7 +1285,7 @@ class TestRouteMatchesReference:
                 link = sim._new_link(sender, st)
                 quality = rng.choice([0.0, rng.random(), 1.0])
                 for _ in range(sends):
-                    link.stats.record_outcome(rng.random() < quality)
+                    link.record_outcome(rng.random() < quality)
         forget_hops(sender)
 
     def test_decayed_rates_and_prr_windows_match_exactly(self):
@@ -1293,7 +1303,7 @@ class TestRouteMatchesReference:
                 i, cls, self.SENDER, sim.now, sim.now + rng.uniform(1e-4, 4e-3)
             )
             expected, table = reference_route(sim, node, packet)
-            assert sim._route(node, packet) == expected
+            assert routed(sim, node, packet) == expected
             seen[expected if isinstance(expected, DropCause) else "hop"] += 1
             seen["unstable"] += any(math.isinf(e.predicted_delay) for e in table)
             for st in node.allowed:
@@ -1308,7 +1318,7 @@ class TestRouteMatchesReference:
                 if link is None:
                     seen["no link"] += 1
                 else:
-                    sent = link.stats.sent_count
+                    sent = link.sent_count
                     seen["empty window" if sent == 0 else
                          "full window" if sent == sim.cfg.prr_window else
                          "partial window"] += 1
@@ -1367,7 +1377,7 @@ class TestRouteMatchesReference:
         ):
             packet = Packet(1, cls, self.SENDER, sim.now, deadline)
             assert reference_route(sim, node, packet)[0] == expected
-            assert sim._route(node, packet) == expected
+            assert routed(sim, node, packet) == expected
 
     def test_idle_candidate_whose_bound_is_its_cost_still_wins(self):
         # node 2 is idle, so its delay is exactly x and its bound equals its
@@ -1390,7 +1400,7 @@ class TestRouteMatchesReference:
             by_id = {e.node_id: e for e in table}
             assert by_id[2].predicted_delay == sim._x
             assert self.bound(sim, by_id[2]) == by_id[2].cost < by_id[SINK_ID].cost
-            assert sim._route(node, packet) == expected == 2
+            assert routed(sim, node, packet) == expected == 2
 
     def test_only_unusable_candidates_give_no_route_or_predictive(self):
         # every alive candidate has usable <= 0 or PRR 0, so no cost is
@@ -1415,7 +1425,7 @@ class TestRouteMatchesReference:
                     )
                     link = sim._new_link(node, st)
                     for _ in range(rng.randint(1, 5)):
-                        link.stats.record_outcome(False)
+                        link.record_outcome(False)
                 else:
                     st.battery = Battery(rng.choice([rx_cost * 0.5, rx_cost]))
             forget_hops(node)
@@ -1427,7 +1437,7 @@ class TestRouteMatchesReference:
             assert all(
                 e.usable_energy <= 0.0 or e.prr == 0.0 for e in table
             ), table
-            assert sim._route(node, packet) == expected
+            assert routed(sim, node, packet) == expected
             seen[expected] += 1
         assert set(seen) == {DropCause.NO_ROUTE, DropCause.PREDICTIVE}, seen
         assert min(seen.values()) >= 20, seen
@@ -1445,7 +1455,7 @@ class TestRouteMatchesReference:
         if skipped_by == "usable <= 0":
             skipped.battery = Battery(rx_energy(sim.cfg.packet_bits, sim.radio))
         elif skipped_by == "prr = 0":
-            sim._new_link(node, skipped).stats.record_outcome(False)
+            sim._new_link(node, skipped).record_outcome(False)
         packet = Packet(0, TrafficClass.RT, self.SENDER, 0.0, 1.0)
         _, table = reference_route(sim, node, packet)
         by_id = {e.node_id: e for e in table}
@@ -1476,7 +1486,7 @@ class TestRouteMatchesReference:
                 sim._kill(st)
             packet = Packet(0, TrafficClass.RT, self.SENDER, sim.now, sim.now + sim._x)
             expected, _ = reference_route(sim, node, packet)
-            assert sim._route(node, packet) == expected
+            assert routed(sim, node, packet) == expected
             verdicts.append(expected)
         assert verdicts[:-1] == [DropCause.PREDICTIVE] * 4
         assert verdicts[-1] == SINK_ID
@@ -1589,6 +1599,14 @@ def test_link_state_is_built_once_per_link(monkeypatch):
     monkeypatch.setattr(ScenarioConfig, "loss_for",
                         counted("loss_for", ScenarioConfig.loss_for))
 
+    # a Link is its own PRR window: one LinkStats built per link
+    windows = Counter()  # id(LinkStats) -> __init__ calls
+    stats_init = LinkStats.__init__
+
+    def counted_init(stats, window):
+        windows[id(stats)] += 1
+        stats_init(stats, window)
+
     outcomes = Counter()  # id(LinkStats) -> record_outcome calls
     record_outcome = LinkStats.record_outcome
 
@@ -1613,6 +1631,7 @@ def test_link_state_is_built_once_per_link(monkeypatch):
         routed[isinstance(decision, DropCause)] += 1
         return decision
 
+    monkeypatch.setattr(LinkStats, "__init__", counted_init)
     monkeypatch.setattr(LinkStats, "record_outcome", counted_outcome)
     monkeypatch.setattr(Battery, "debit", counted_debit)
     monkeypatch.setattr(Simulation, "_route", counted_route)
@@ -1634,24 +1653,26 @@ def test_link_state_is_built_once_per_link(monkeypatch):
     assert m.deaths
     assert m.tx_by_link[(29, 23)] > 0
     assert m.rx_by_node.total() > 0  # relays carried traffic
-    links = sum(len(st.links) for st in sim.nodes.values())
+    links = sum(len(st.links) for st in sim.nodes)
     sends = sum(m.tx_by_node.values())
     assert calls["tx_energy"] == links
+    assert windows == Counter(id(link) for st in sim.nodes for link in st.links.values())
     assert calls["loss_for"] == links
     assert 20 * links < sends
 
     sent_by_link = Counter()
-    for u, st in sim.nodes.items():
+    for u, st in enumerate(sim.nodes):
         for v, link in st.links.items():
-            if outcomes[id(link.stats)]:
-                sent_by_link[(u, v)] = outcomes[id(link.stats)]
+            assert isinstance(link, LinkStats)
+            if outcomes[id(link)]:
+                sent_by_link[(u, v)] = outcomes[id(link)]
     assert m.tx_by_link == sent_by_link
     assert sum(outcomes.values()) == sends
     sent_by_node = Counter()
     for (u, _v), n in m.tx_by_link.items():
         sent_by_node[u] += n
     assert m.tx_by_node == sent_by_node
-    node_of_battery = {id(st.battery): nid for nid, st in sim.nodes.items()}
+    node_of_battery = {id(st.battery): st.node_id for st in sim.nodes}
     assert m.rx_by_node == Counter(
         {node_of_battery[b]: n for b, n in receptions.items()}
     )

@@ -8,10 +8,16 @@ To print the current hashes: `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import wsnqos
 from wsnqos.cli import main
 
 SCENARIOS = {
@@ -163,7 +169,10 @@ def output_hashes(name: str, out_dir: Path) -> tuple[str, str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = out_dir / "scenario.txt"
     config.write_text(text)
-    assert main(["--config", str(config), "--out", str(out_dir), "--quiet", *extra]) == 0
+    # not an assert: the call must also run under python -O
+    status = main(["--config", str(config), "--out", str(out_dir), "--quiet", *extra])
+    if status != 0:
+        raise RuntimeError(f"scenario {name} exited with status {status}")
     return tuple(
         hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
         for f in ("metrics.csv", "timeline.csv")
@@ -173,6 +182,39 @@ def output_hashes(name: str, out_dir: Path) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_outputs(name, tmp_path):
     assert output_hashes(name, tmp_path) == GOLDEN[name]
+
+
+def test_golden_outputs_under_python_O(tmp_path):
+    # the engine's invariant checks raise rather than assert, so running
+    # with asserts compiled out must give the same bytes; one interpreter
+    # runs all the scenarios
+    script = textwrap.dedent(
+        """
+        import json
+        import sys
+        from pathlib import Path
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        from test_golden import SCENARIOS, output_hashes
+
+        out = Path(sys.argv[1])
+        print(json.dumps({name: output_hashes(name, out / name) for name in SCENARIOS}))
+        """
+    )
+    paths = (
+        str(Path(wsnqos.__file__).resolve().parent.parent),
+        str(Path(__file__).resolve().parent),
+        os.environ.get("PYTHONPATH"),
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    hashes = json.loads(proc.stdout.splitlines()[-1])
+    assert {name: tuple(pair) for name, pair in hashes.items()} == GOLDEN
 
 
 if __name__ == "__main__":

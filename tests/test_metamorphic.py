@@ -167,7 +167,7 @@ def test_isolated_sensor_changes_no_other_count(text, reach):
     sim = Simulation(cfg2)
     lone_state = sim.nodes[lone]
     assert not lone_state.allowed
-    assert all(lone_state not in node.allowed for node in sim.nodes.values())
+    assert all(lone_state not in node.allowed for node in sim.nodes)
     own = Counter()
     drop = sim._drop
 
