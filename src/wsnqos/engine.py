@@ -291,37 +291,42 @@ def stream_rngs(
 
 def poisson_arrival_times(
     rate: float, horizon: float, rng: np.random.Generator, first: float | None = None
-):
-    """Arrival instants of a Poisson process with the given rate on (0, horizon].
+) -> array:
+    """Arrival instants of a Poisson process with the given rate on (0, horizon],
+    as an array('d').
 
-    The gaps are drawn in chunks of about 1.2 x the expected count, each
-    chunk's cumsum added to the last instant before it. The first gap is
-    drawn alone, so a stream with no arrival in the horizon costs one draw;
-    a Generator's scalar and array draws take the same values from its
+    The gaps are drawn in chunks of about 1.2 x the expected count left, and
+    each instant is the last instant before its chunk plus a running sum of
+    the chunk's gaps, summed one gap at a time and left to right as np.cumsum
+    would. The sum stops at the first instant past the horizon, so a further
+    chunk is drawn only when every instant so far is within it. The first
+    gap is drawn alone, so a stream with no arrival in the horizon costs one
+    draw; a Generator's scalar and array draws take the same values from its
     stream, so the instants do not depend on it. A caller that has drawn
     the first gap, rng.exponential(1.0 / rate), passes it as `first`.
     """
+    times = array("d")
     if rate <= 0.0 or horizon <= 0.0:
-        return np.empty(0)
+        return times
     scale = 1.0 / rate
     if first is None:
         first = rng.exponential(scale)
     if first > horizon:
-        return np.empty(0)
-    n = max(64, int(rate * horizon * 1.2) + 64)
-    gaps = np.concatenate(([first], rng.exponential(scale, size=n - 1)))
-    chunks = []
-    last = 0.0
+        return times
+    append = times.append
+    append(first)
+    # the first chunk is `first` and n - 1 gaps after it, summed from 0.0
+    n = max(64, int(rate * horizon * 1.2) + 64) - 1
+    base, run = 0.0, first
     while True:
-        chunk = last + np.cumsum(gaps)
-        chunks.append(chunk)
-        last = float(chunk[-1])
-        if last > horizon:
-            break
-        n = max(64, int(rate * (horizon - last) * 1.2) + 64)
-        gaps = rng.exponential(scale, size=n)
-    times = np.concatenate(chunks)
-    return times[times <= horizon]
+        for gap in memoryview(rng.exponential(scale, size=n)):
+            run += gap
+            t = base + run
+            if t > horizon:
+                return times
+            append(t)
+        base, run = t, 0.0
+        n = max(64, int(rate * (horizon - base) * 1.2) + 64)
 
 
 class Link(LinkStats):
@@ -456,7 +461,7 @@ class Simulation:
                 first = rng.exponential(1.0 / rate)
                 if first <= horizon:
                     arrivals = poisson_arrival_times(rate, horizon, rng, first)
-                    self._schedule(node, cls, map(float, arrivals))
+                    self._schedule(node, cls, iter(arrivals))
 
     # -- setup ---------------------------------------------------------
 
@@ -476,8 +481,9 @@ class Simulation:
         return Topology(positions, SINK_ID, cfg.radio_range)
 
     def _schedule(self, node: NodeState, cls: TrafficClass, arrivals) -> None:
-        """Push a stream's next arrival with its cursor, floats over its
-        float64 instants (8 B per arrival); a spent stream is dropped."""
+        """Push a stream's next arrival with its cursor, an iterator over its
+        array('d') of instants (8 B per arrival) that yields floats; a spent
+        stream is dropped."""
         time = next(arrivals, None)
         if time is not None:
             self._seq += 1

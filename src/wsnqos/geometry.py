@@ -161,11 +161,17 @@ def _cell_slices(
     width = int(j.max()) - j0 + 2
     key = (i - i0) * width + (j - j0)
     order = np.argsort(key, kind="stable")
-    # each point's own row in the column to its left, its own and its right
-    row = key[:, None] + width * np.arange(-1, 2)
     key = key[order]
-    start = np.searchsorted(key, row - 1, "left")
-    return order, start, np.searchsorted(key, row + 1, "right")
+    # each point's own row in the column to its left, its own and its right:
+    # one column of the block per row of `row`, the points in cell order, so
+    # every search runs over ascending needles; the bounds go back in point
+    # order
+    row = key + width * np.arange(-1, 2)[:, None]
+    start = np.empty((len(key), 3), dtype=np.intp)
+    stop = np.empty_like(start)
+    start[order] = np.searchsorted(key, row - 1, "left").T
+    stop[order] = np.searchsorted(key, row + 1, "right").T
+    return order, start, stop
 
 
 def in_range_pair_bound(points: list[tuple[float, float]], radio_range: float) -> int:

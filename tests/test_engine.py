@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from math import fsum
@@ -15,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_with_deliveries
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 import wsnqos
@@ -107,7 +110,7 @@ class TestTraffic:
 
     def test_count_matches_poisson_statistics(self):
         rng = stream_rng(7, "traffic/1/rt")
-        times = poisson_arrival_times(100.0, 100.0, rng)
+        times = np.frombuffer(poisson_arrival_times(100.0, 100.0, rng))
         # 10^4 expected, 3 sigma = 300
         assert abs(len(times) - 10_000) <= 300
         assert times.min() > 0.0
@@ -138,6 +141,24 @@ class TestTraffic:
         # one pending event, with its cursor, per stream with an arrival in
         # the horizon: the RT stream; the NRT stream at rate 0 holds nothing
         assert [(e[2].node_id, e[3]) for e in sim.heap] == [(1, TrafficClass.RT)]
+
+    def test_arrival_times_are_python_floats(self):
+        # the calendar holds and compares plain floats, and each packet's
+        # created_at is its arrival time
+        seen = []
+
+        class Recorder(Simulation):
+            def _on_generated(self, node, cls, arrivals):
+                seen.append(type(self.now))
+                super()._on_generated(node, cls, arrivals)
+
+        sim = Recorder(two_node_cfg(rate_rt=40.0, rate_nrt=20.0, duration=5.0))
+        assert len(sim.heap) == 2
+        assert {type(e[0]) for e in sim.heap} == {float}
+        m = sim.run()
+        assert sim.alive_sources == 1
+        assert len(seen) == m.generated_total() > 200
+        assert set(seen) == {float}
 
     def test_stream_labels_are_stable_and_independent(self):
         a = stream_rng(3, "traffic/1/rt").random(4)
@@ -190,7 +211,9 @@ class TestArrivalsMatchChunkedDraws:
     def test_same_bytes(self, rate, horizon):
         for seed in range(200):
             label = f"traffic/{seed}/rt"
-            times = poisson_arrival_times(rate, horizon, stream_rng(seed, label))
+            times = np.frombuffer(
+                poisson_arrival_times(rate, horizon, stream_rng(seed, label))
+            )
             expected = chunked_arrival_times(rate, horizon, stream_rng(seed, label))
             assert times.dtype == expected.dtype
             assert times.tobytes() == expected.tobytes()
@@ -209,6 +232,37 @@ class TestArrivalsMatchChunkedDraws:
             expected = chunked_arrival_times(40.0, 5.0, ShrunkGaps(seed, factor))
             assert rng.array_draws >= 2  # the first chunk fell short
             assert times.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # zero, subnormal (1.0 / rate is inf) and tiny rates, or 1e-2 to 1e4
+        rate=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]),
+            st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
+        ),
+        horizon=st.floats(-3.0, 2.5).map(lambda e: 10.0**e),
+        factor=st.one_of(st.none(), st.sampled_from([0.5, 0.1, 0.01])),
+    )
+    def test_same_bytes_over_rates_and_horizons(self, seed, rate, horizon, factor):
+        # at most about 2e4 instants, spills into later chunks included
+        assume(rate * horizon <= 2e4 * (factor or 1.0))
+
+        def rng():
+            if factor is None:
+                return stream_rng(seed, "traffic/1/rt")
+            return ShrunkGaps(seed, factor)
+
+        expected = chunked_arrival_times(rate, horizon, rng()).tobytes()
+        times = poisson_arrival_times(rate, horizon, rng())
+        assert type(times) is array and times.typecode == "d"
+        assert times.tobytes() == expected
+        if rate > 0.0:
+            drawn = rng()
+            first = drawn.exponential(1.0 / rate)
+            passed = poisson_arrival_times(rate, horizon, drawn, first)
+            assert type(passed) is array and passed.typecode == "d"
+            assert passed.tobytes() == expected
 
     def test_scalar_and_array_draws_take_one_stream(self):
         scalars = stream_rng(5, "x")
