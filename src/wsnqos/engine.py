@@ -10,6 +10,12 @@ holds nothing, and the ends of sends ride a FIFO. Every send lasts the
 same transmission time x and starts at the current time, which never
 decreases, so sends end in the order they start.
 
+A hop takes two frames below the event loop. run() ends each send in
+place and hands a packet that reached an alive node to _arrive; an idle
+node routes it (_route) and puts it on the radio there, and a busy one
+queues it. When a node falls idle with packets queued, _try_start_service
+hands them to _serve, the queue path's copy of the send's start.
+
 Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
 seed by a stable label, so identical (config, seed) pairs reproduce
@@ -492,12 +498,23 @@ class Simulation:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> Metrics:
+        """Handle every event in (time, seq) order until the horizon, or until
+        the event that kills the last source.
+
+        A send's end is handled here: the sender pays for the send, the
+        link's loss draw and PRR window take its outcome, and a packet that
+        reaches an alive relay in time is paid for there and goes to _arrive.
+        Then the sender, idle again, takes up its queues.
+        """
         horizon = self.cfg.duration
         heap = self.heap
         completions = self.completions
         heappop = heapq.heappop
         popleft = completions.popleft
-        while heap or completions:
+        metrics = self.metrics
+        rx_cost = self._rx_cost
+        RT = TrafficClass.RT
+        while self.alive_sources and (heap or completions):
             if completions and (not heap or completions[0] < heap[0]):
                 time, _seq, node, packet, target = popleft()
             else:
@@ -512,19 +529,55 @@ class Simulation:
             self.now = time
             if packet is None:
                 self._on_generated(node, cls, arrivals)
+                continue
+            queues = node.queues
+            queues.in_service = None
+            battery = node.battery
+            if not battery.alive:
+                # receive debits killed the node mid-service
+                self._drop(packet, DropCause.NODE_DEATH)
+                continue
+            link = node.links.get(target.node_id)
+            if link is None:
+                link = self._new_link(node, target)
+            metrics.total_energy += battery.debit(link.tx_cost)
+            if not battery.alive:
+                # a send that kills the sender empties its queues
+                self._kill(node)
+                self._drop(packet, DropCause.NODE_DEATH)
+                continue
+            link.sent += 1
+            if link.loss > 0.0 and link.loss_rng.random() < link.loss:
+                link.record_outcome(False)
+                self._drop(packet, DropCause.LINK_LOSS)
+            elif target.node_id == SINK_ID:
+                link.record_outcome(True)
+                if packet.deadline < time:
+                    self._drop(packet, DropCause.EXPIRED)
+                else:
+                    self._record_delivery(packet)
+            elif not target.battery.alive:
+                link.record_outcome(False)
+                self._drop(packet, DropCause.NODE_DEATH)
             else:
-                queues = node.queues
-                queues.in_service = None
-                if not node.battery.alive:
-                    # receive debits killed the node mid-service
+                relay = target.battery
+                metrics.total_energy += relay.debit(rx_cost)
+                if not relay.alive:
+                    self._kill(target)
+                    link.record_outcome(False)
                     self._drop(packet, DropCause.NODE_DEATH)
                 else:
-                    # a send that kills the sender empties its queues
-                    self._deliver(node, packet, target)
-                    if queues.rt or queues.nrt:
-                        self._try_start_service(node)
-            if self.alive_sources == 0:
-                break
+                    target.received += 1
+                    link.record_outcome(True)
+                    rate = target.rate_rt if packet.cls is RT else target.rate_nrt
+                    rate.observe(time)
+                    if packet.deadline < time:
+                        self._drop(packet, DropCause.EXPIRED)
+                    else:
+                        packet.arrived_at = time
+                        self._arrive(target, packet)
+            if queues.rt or queues.nrt:
+                self._try_start_service(node)
         self._finalize()
         return self.metrics
 
@@ -555,25 +608,42 @@ class Simulation:
     def _arrive(self, node: NodeState, packet: Packet) -> None:
         """Admit a packet that has just reached an alive node.
 
-        An idle node serves it at once, with zero wait. Every event leaves
-        an idle node with both queues empty, so no other packet can go
-        first, and this is what queueing it and dequeueing it again would
-        do. A busy node queues it in its class queue, or drops it when that
-        queue is full.
+        A busy node queues it in its class queue, or drops it when that
+        queue is full. An idle node routes it at once and puts it on the
+        radio, as _serve does for a packet it takes from its queues: every
+        event leaves an idle node with both queues empty, so no other packet
+        can go first, and this is what queueing it and dequeueing it again
+        would do. The packet arrived now, so its wait here is 0.0; the
+        node's summed wait starts at +0.0 and never falls, so adding 0.0
+        would leave it as it is, and only the count is kept. The oracle in
+        tests/test_engine.py that queues every arrival checks this copy of
+        the send's start against _serve's over whole runs.
         """
         queues = node.queues
-        if queues.in_service is None:
-            self._serve(node, packet)
-        elif not classify_enqueue(queues, packet):
-            self._drop(packet, DropCause.BUFFER_OVERFLOW)
+        if queues.in_service is not None:
+            if not classify_enqueue(queues, packet):
+                self._drop(packet, DropCause.BUFFER_OVERFLOW)
+            return
+        decision = self._route(node, packet)
+        # a class check: isinstance calls __instancecheck__ for a class whose
+        # metaclass is not type, as an Enum's is, at every NodeState it tests
+        if decision.__class__ is DropCause:
+            self._drop(packet, decision)
+            return
+        if packet.cls is TrafficClass.RT:
+            node.waits_rt += 1
+        else:
+            node.waits_nrt += 1
+        queues.in_service = packet
+        self._seq += 1
+        self.completions.append((self.now + self._x, self._seq, node, packet, decision))
 
     def _serve(self, node: NodeState, packet: Packet) -> bool:
-        """Route a packet that an idle node takes up, straight on arrival or
-        from its queues, and put it on the radio; False when the decision
-        drops it instead, which leaves the node idle. Its wait at the node
-        ends now."""
+        """Route a packet that an idle node takes from its queues and put it
+        on the radio; False when the decision drops it instead, which leaves
+        the node idle. Its wait at the node ends now."""
         decision = self._route(node, packet)
-        if isinstance(decision, DropCause):
+        if decision.__class__ is DropCause:
             self._drop(packet, decision)
             return False
         wait = self.now - packet.arrived_at
@@ -724,48 +794,6 @@ class Simulation:
         if best is None:
             return DropCause.NO_ROUTE
         return best
-
-    def _deliver(self, sender: NodeState, packet: Packet, target: NodeState) -> None:
-        """End a send to target, the NodeState _route chose for it."""
-        link = sender.links.get(target.node_id)
-        if link is None:
-            link = self._new_link(sender, target)
-        self.metrics.total_energy += sender.battery.debit(link.tx_cost)
-        if not sender.battery.alive:
-            self._kill(sender)
-            self._drop(packet, DropCause.NODE_DEATH)
-            return
-        link.sent += 1
-        if link.loss > 0.0 and link.loss_rng.random() < link.loss:
-            link.record_outcome(False)
-            self._drop(packet, DropCause.LINK_LOSS)
-            return
-        if target.node_id == SINK_ID:
-            link.record_outcome(True)
-            if packet.deadline < self.now:
-                self._drop(packet, DropCause.EXPIRED)
-                return
-            self._record_delivery(packet)
-            return
-        if not target.battery.alive:
-            link.record_outcome(False)
-            self._drop(packet, DropCause.NODE_DEATH)
-            return
-        self.metrics.total_energy += target.battery.debit(self._rx_cost)
-        if not target.battery.alive:
-            self._kill(target)
-            link.record_outcome(False)
-            self._drop(packet, DropCause.NODE_DEATH)
-            return
-        target.received += 1
-        link.record_outcome(True)
-        rate = target.rate_rt if packet.cls is TrafficClass.RT else target.rate_nrt
-        rate.observe(self.now)
-        if packet.deadline < self.now:
-            self._drop(packet, DropCause.EXPIRED)
-            return
-        packet.arrived_at = self.now
-        self._arrive(target, packet)
 
     def _record_delivery(self, packet: Packet) -> None:
         """Count a packet the sink received now: its end-to-end delay and

@@ -663,20 +663,50 @@ def lossy_lifetime_seed_11():
 class DeathBranchRecorder(Simulation):
     """Notes the two deaths a completion can meet: the sender killed by a
     receive debit while its own packet is on the radio, and a chosen next
-    hop that died after the decision."""
+    hop that died after the decision. A completion is seen as it leaves the
+    FIFO, and a send to a dead next hop ends with its packet's drop."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.drops = []  # (packet, cause) in drop order
         self.on_radio_at_kill = []  # (node, packet id) on a killed node's radio
         self.sent_at_kill = {}  # node killed mid-service -> its sends then
-        self.sends = set()  # (sender, packet id) handed to _deliver
+        self.sends = set()  # (sender, packet id) whose sender was alive at its end
         self.outcomes = []  # every flag LinkStats.record_outcome was given
         self.dead_target_sends = []
+        self.completions = CompletionTaps(self)
+        self._dead_target_send = None  # (packet, sender, target, before)
+
+    def completion(self, event):
+        """The send ending now, as run() takes it from the FIFO."""
+        time, _seq, sender, packet, target = event
+        if time > self.cfg.duration or not sender.battery.alive:
+            return
+        self.sends.add((sender.node_id, packet.packet_id))
+        if not target.battery.alive:
+            link = sender.links.get(target.node_id)
+            before = {
+                "sent": 0 if link is None else link.sent,
+                "consumed": target.battery.consumed,
+                "received": target.received,
+                "drops": len(self.drops),
+                "outcomes": len(self.outcomes),
+            }
+            self._dead_target_send = (packet, sender, target, before)
 
     def _drop(self, packet, cause):
         self.drops.append((packet, cause))
         super()._drop(packet, cause)
+        if self._dead_target_send and self._dead_target_send[0] is packet:
+            _packet, sender, target, before = self._dead_target_send
+            self._dead_target_send = None
+            self.dead_target_sends.append({
+                "sent": sender.links[target.node_id].sent - before["sent"],
+                "drops": [c for _p, c in self.drops[before["drops"]:]],
+                "outcomes": self.outcomes[before["outcomes"]:],
+                "target_debit": target.battery.consumed - before["consumed"],
+                "received": target.received - before["received"],
+            })
 
     def _kill(self, node):
         if node.queues.in_service is not None:
@@ -688,23 +718,19 @@ class DeathBranchRecorder(Simulation):
             )
         super()._kill(node)
 
-    def _deliver(self, sender, packet, target):
-        self.sends.add((sender.node_id, packet.packet_id))
-        if target.battery.alive:
-            super()._deliver(sender, packet, target)
-            return
-        link = sender.links.get(target.node_id)
-        sent = 0 if link is None else link.sent
-        consumed, received = target.battery.consumed, target.received
-        drops, outcomes = len(self.drops), len(self.outcomes)
-        super()._deliver(sender, packet, target)
-        self.dead_target_sends.append({
-            "sent": sender.links[target.node_id].sent - sent,
-            "drops": [cause for _p, cause in self.drops[drops:]],
-            "outcomes": self.outcomes[outcomes:],
-            "target_debit": target.battery.consumed - consumed,
-            "received": target.received - received,
-        })
+
+class CompletionTaps(deque):
+    """A completion FIFO that shows each event it hands run() to its
+    simulation's completion() first."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+
+    def popleft(self):
+        event = super().popleft()
+        self.sim.completion(event)
+        return event
 
 
 def timeline_oracle(seed, cfg, m, delivered_at):
@@ -1003,14 +1029,15 @@ class EventOrderRecorder(Simulation):
     def __init__(self, cfg):
         super().__init__(cfg)
         self.handled = []  # ("generation" | "completion", time)
+        self.completions = CompletionTaps(self)
 
     def _on_generated(self, node, cls, arrivals):
         self.handled.append(("generation", self.now))
         super()._on_generated(node, cls, arrivals)
 
-    def _deliver(self, sender, packet, target):
-        self.handled.append(("completion", self.now))
-        super()._deliver(sender, packet, target)
+    def completion(self, event):
+        if event[0] <= self.cfg.duration:
+            self.handled.append(("completion", event[0]))
 
 
 class SortedCompletions(deque):
@@ -1045,7 +1072,8 @@ class TestEventCalendar:
         sim.metrics.generated[TrafficClass.RT] += 1  # so the ledger closes
         if generation_first:
             sim._schedule(node, TrafficClass.RT, iter([at]))
-        assert sim._serve(node, packet)
+        sim._arrive(node, packet)
+        assert node.queues.in_service is packet
         if not generation_first:
             sim._schedule(node, TrafficClass.RT, iter([at]))
         assert sim.heap[0][0] == sim.completions[0][0] == at
@@ -1066,37 +1094,54 @@ class TestEventCalendar:
 
 
 @pytest.fixture()
-def enqueue_calls(monkeypatch):
-    """Counts the engine's classify_enqueue calls."""
+def engine_calls(monkeypatch):
+    """Counts the engine's classify_enqueue calls ("enqueue"), and its
+    Simulation._serve calls ("serve") and those that put the packet on the
+    radio ("served")."""
     calls = Counter()
     enqueue = wsnqos.engine.classify_enqueue
+    serve = Simulation._serve
 
     def counted(queues, packet):
         calls["enqueue"] += 1
         return enqueue(queues, packet)
 
+    def counted_serve(sim, node, packet):
+        calls["serve"] += 1
+        served = serve(sim, node, packet)
+        calls["served"] += served
+        return served
+
     monkeypatch.setattr(wsnqos.engine, "classify_enqueue", counted)
+    monkeypatch.setattr(Simulation, "_serve", counted_serve)
     return calls
 
 
 class TestArrivalRule:
     @pytest.mark.parametrize("name", sorted(ARRIVAL_SCENARIOS))
-    def test_matches_queueing_every_arrival(self, enqueue_calls, name):
+    def test_matches_queueing_every_arrival(self, engine_calls, name):
         cfg = ARRIVAL_SCENARIOS[name]()
         m = Simulation(cfg).run()
-        assert enqueue_calls["enqueue"] > 0  # some packets found their node busy
+        assert engine_calls["enqueue"] > 0  # some packets found their node busy
+        engine_calls.clear()
         oracle = QueueEveryArrival(cfg).run()
         assert cli.metrics_row(cfg.seed, m) == cli.metrics_row(cfg.seed, oracle)
         assert cli.timeline_rows(cfg.seed, cfg, m) == cli.timeline_rows(
             cfg.seed, cfg, oracle
         )
         assert m == oracle
+        # the oracle takes every packet from a queue, so _serve puts each
+        # packet on its radio and makes every decision that drops one: the
+        # run above started its idle sends in _arrive, and this one in _serve
+        refused = m.drop_count(DropCause.NO_ROUTE) + m.drop_count(DropCause.PREDICTIVE)
+        assert engine_calls["served"] == m.wait_count.total() > 0
+        assert engine_calls["serve"] == m.wait_count.total() + refused
         if name == "queue_capacity_1":
             assert m.drop_count(DropCause.BUFFER_OVERFLOW) > 0
         if name == "lossy_deaths_expiry":
             assert m.deaths and m.drop_count(DropCause.EXPIRED) > 0
 
-    def test_light_load_never_queues(self, enqueue_calls):
+    def test_light_load_never_queues(self, engine_calls):
         class NoAppend(deque):
             def append(self, packet):
                 raise AssertionError(f"packet {packet.packet_id} was queued")
@@ -1105,7 +1150,9 @@ class TestArrivalRule:
         for st in sim.nodes:
             st.queues.rt, st.queues.nrt = NoAppend(), NoAppend()
         m, packets, traces = run_with_deliveries(sim)
-        assert enqueue_calls["enqueue"] == 0
+        assert engine_calls["enqueue"] == 0
+        # every send started in _arrive; none came from a queue
+        assert engine_calls["serve"] == 0
         assert len(packets) == m.generated_total() > 50
         # each packet was served at once at the head and at the relay
         assert m.wait_count == Counter(
@@ -1116,6 +1163,48 @@ class TestArrivalRule:
             times = [t for _nid, t in trace]
             assert times[1] - times[0] == pytest.approx(SERVICE, abs=1e-12)
             assert times[2] - times[1] == pytest.approx(SERVICE, abs=1e-12)
+
+    def test_calls_per_send_at_light_load(self):
+        # the shape of a hop, counted with no timing: each send's end is
+        # handled in run(), which hands the packet to _arrive, which routes
+        # it and puts it on the radio; no other engine frame lies between
+        # them. Every packet leaves the head (node 2), reaches the relay
+        # (node 1) and then the sink, so it makes two sends, three debits
+        # (the head's send, the relay's receive and its send) and two rate
+        # updates (at its generation and at the relay)
+        counted = {
+            Simulation._arrive.__code__: "_arrive",
+            Simulation._route.__code__: "_route",
+            Battery.debit.__code__: "debit",
+            LinkStats.record_outcome.__code__: "record_outcome",
+            RateEstimator.observe.__code__: "observe",
+        }
+        calls = Counter()
+
+        def profile(frame, event, _arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code in counted:
+                calls[counted[code]] += 1
+            elif code.co_filename == engine.__file__:
+                calls[code.co_name] += 1
+
+        sim = Simulation(chain_cfg(rate_rt=1.0, duration=100.0))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            m = sim.run()
+        finally:
+            sys.setprofile(previous)
+        sends = m.tx_by_link.total()
+        packets = m.generated_total()
+        assert m.delivered_total() == packets > 50
+        assert sends == 2 * packets
+        assert calls["_deliver"] == calls["_serve"] == 0
+        assert calls["_arrive"] == calls["_route"] == sends
+        assert 2 * calls["debit"] == 3 * sends
+        assert calls["record_outcome"] == calls["observe"] == sends
 
 
 def fixed_rate(sim, rate):
@@ -1781,14 +1870,14 @@ def test_invariant_checks_run_under_python_O():
         (
             """
             from wsnqos.engine import Simulation
-            serve = Simulation._serve
-            def _serve(self, node, packet):
-                served = serve(self, node, packet)
-                if served:
+            arrive = Simulation._arrive
+            def _arrive(self, node, packet):
+                sends = len(self.completions)
+                arrive(self, node, packet)
+                if len(self.completions) > sends:
                     time, *rest = self.completions.pop()
                     self.completions.append((time - 1.0, *rest))
-                return served
-            Simulation._serve = _serve
+            Simulation._arrive = _arrive
             """,
             "RuntimeError: event calendar went backwards",
         ),

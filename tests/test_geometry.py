@@ -300,15 +300,23 @@ def layout_points(r, nodes):
 
 
 class TestCellIndexMatchesAllPairs:
-    """Topology.allowed_neighbor_ids against the all-pairs scan."""
+    """Topology.allowed_neighbor_ids against the all-pairs scan; where a test
+    says so, in_range_pair_bound too."""
 
+    @pytest.mark.parametrize("on_side", [False, True], ids=["range", "cell_side"])
     @pytest.mark.parametrize("r", [10.0, 0.1, 1.0 / 3.0, 87.70580193070293])
-    def test_nodes_on_cell_edges(self, r):
-        points = lattice(r, 4)
-        # also one ulp either side of each edge
+    def test_nodes_on_cell_edges(self, r, on_side):
+        # nodes on multiples of the range, a range apart, or on the cells'
+        # own edges, multiples of the cell side
+        side = geometry.cell_side(r, 1e3)
+        step = side if on_side else r
+        points = lattice(step, 4)
+        # also one ulp either side of each
         points += [(math.nextafter(x, -math.inf), math.nextafter(y, math.inf))
-                   for x, y in lattice(r, 2)]
-        assert assert_matches_all_pairs(points, r) > 0
+                   for x, y in lattice(step, 2)]
+        # the points' extent stays under 1e3, so their cell side is `side`
+        assert geometry.cell_side(r, max(map(abs, np.ravel(points)))) == side > r
+        assert assert_pair_bound_holds(points, r)[2] > 0
 
     @pytest.mark.parametrize("r", [5.0, 0.1, 87.70580193070293])
     def test_pairs_exactly_one_range_apart(self, r):
@@ -384,7 +392,7 @@ class TestCellIndexMatchesAllPairs:
         topo = Topology({nid: Position(x, y) for nid, (x, y) in enumerate(points)},
                         sink=0, radio_range=r)
         assert topo.allowed_neighbor_ids(1) == [0]
-        assert assert_matches_all_pairs(points, r) >= 1
+        assert assert_pair_bound_holds(points, r)[2] >= 1
 
     def test_negative_coordinates(self):
         rng = np.random.default_rng(11)
@@ -394,9 +402,13 @@ class TestCellIndexMatchesAllPairs:
         assert assert_matches_all_pairs(points, 50.0) > 0
 
     @settings(deadline=None)
-    @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes)
-    def test_matches_all_pairs(self, r, nodes):
-        assert_matches_all_pairs(layout_points(r, nodes), r)
+    @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes, cluster=st.integers(0, 30))
+    def test_matches_all_pairs(self, r, nodes, cluster):
+        # the cluster puts points within r / 10 of the first drawn one
+        points = layout_points(r, nodes)
+        x0, y0 = points[1]
+        points += [(x0 + i * r / 300, y0 - i * r / 300) for i in range(cluster)]
+        assert_pair_bound_holds(points, r)
 
 
 # drawn layouts for the bulk pass: (x, y, ulps) nodes as in layout_nodes,
@@ -554,15 +566,20 @@ def pairs_in_range(points, radio_range):
 
 
 def assert_pair_bound_holds(points, radio_range):
+    """The cell index against the all-pairs scan, and in_range_pair_bound
+    against the pairs in range: (bound, pairs in range, allowed entries)."""
     bound = in_range_pair_bound(points, radio_range)
     in_range = pairs_in_range(points, radio_range)
+    allowed = assert_matches_all_pairs(points, radio_range)
     # each pair in range gives at most one allowed entry
-    assert bound >= in_range >= assert_matches_all_pairs(points, radio_range)
-    return bound, in_range
+    assert bound >= in_range >= allowed
+    return bound, in_range, allowed
 
 
 class TestInRangePairBound:
-    """in_range_pair_bound against the all-pairs scan, with no pair checks."""
+    """in_range_pair_bound against the all-pairs scan, with no pair checks.
+    TestCellIndexMatchesAllPairs checks it on its edge, tiny-range and drawn
+    layouts."""
 
     def test_no_pair_checks(self, monkeypatch):
         def refuse(*args):
@@ -577,37 +594,15 @@ class TestInRangePairBound:
         rng = np.random.default_rng(5)
         points = [(float(x), float(y)) for x, y in rng.uniform(100.0, 101.0, (200, 2))]
         points.append((900.0, 900.0))
-        assert assert_pair_bound_holds(points, 10.0) == (199 * 200 // 2,) * 2
+        assert assert_pair_bound_holds(points, 10.0)[:2] == (199 * 200 // 2,) * 2
 
     def test_uniform_layout_is_counted_near_its_pairs(self):
         # the default density: 300 points on 1000 m x 1000 m, range 87.7 m
         rng = np.random.default_rng(7)
         points = [(float(x), float(y)) for x, y in rng.uniform(0.0, 1e3, (300, 2))]
-        bound, in_range = assert_pair_bound_holds(points, 87.70580193070293)
+        bound, in_range, _allowed = assert_pair_bound_holds(points, 87.70580193070293)
         # a 3 x 3 block of cells covers 9 / pi of a radio disk
         assert bound < 4 * in_range
-
-    @pytest.mark.parametrize("r", [10.0, 1.0 / 3.0])
-    def test_points_on_cell_edges(self, r):
-        points = lattice(r, 4)
-        points += [(math.nextafter(x, -math.inf), math.nextafter(y, math.inf))
-                   for x, y in lattice(r, 2)]
-        assert_pair_bound_holds(points, r)
-
-    @pytest.mark.parametrize("r", [1e-12, 1e-320])
-    def test_range_far_below_the_coordinate_scale(self, r):
-        points = [(500.0, 0.0), (500.0, 1e-321), (500.0, 0.0 + 0.1 * r),
-                  (1e4, 1e4), (math.nextafter(1e4, 0.0), 1e4), (0.0, 0.0), (2e-321, 0.0)]
-        assert_pair_bound_holds(points, r)
-
-    @settings(deadline=None)
-    @given(r=st.floats(1e-3, 500.0), nodes=layout_nodes, cluster=st.integers(0, 30))
-    def test_random_layouts(self, r, nodes, cluster):
-        # the cluster puts points within r / 10 of the first drawn one
-        points = layout_points(r, nodes)
-        x0, y0 = points[1]
-        points += [(x0 + i * r / 300, y0 - i * r / 300) for i in range(cluster)]
-        assert_pair_bound_holds(points, r)
 
 
 def test_cell_index_checks_few_pairs(monkeypatch):
