@@ -60,16 +60,18 @@ def rx_energy(k: int, radio: RadioParams) -> float:
     return k * radio.e_elec
 
 
-@dataclass
+@dataclass(slots=True)
 class Battery:
-    """Finite energy store of one node.
+    """Finite energy store of one node, a slotted record.
 
     Draws are accumulated in `consumed` (single add path, so the metrics
     ledger and the battery agree bit-for-bit). The charge left is stored in
-    `level`: after each draw it is set to `max(0.0, initial - consumed)`,
-    never decremented, so it is the same float the difference gives.
-    `residual` reads it. A draw the battery cannot cover drains it
-    completely and marks the node dead; dead nodes take no further debits.
+    `level`: after each draw it is set to `initial - consumed`, or to 0.0
+    when that is not above 0.0, never decremented, so it is the same float
+    the difference gives. The compare gives what `max(0.0, ·)` gives for
+    every float, -0.0 and NaN included, without the call. `residual` reads
+    it. A draw the battery cannot cover drains it completely and marks the
+    node dead; dead nodes take no further debits.
     """
 
     initial: float
@@ -80,7 +82,8 @@ class Battery:
     def __post_init__(self) -> None:
         if self.initial <= 0.0:
             raise ValueError("initial energy must be > 0")
-        self.level = max(0.0, self.initial - self.consumed) if self.alive else 0.0
+        level = self.initial - self.consumed
+        self.level = level if self.alive and level > 0.0 else 0.0
 
     @property
     def residual(self) -> float:
@@ -98,7 +101,8 @@ class Battery:
             return 0.0
         if amount <= self.level:
             self.consumed += amount
-            self.level = max(0.0, self.initial - self.consumed)
+            level = self.initial - self.consumed
+            self.level = level if level > 0.0 else 0.0
             return amount
         drained = self.level
         self.consumed = self.initial

@@ -4,7 +4,8 @@ One run owns an event calendar keyed by (time, sequence), the node states
 in a list indexed by node id (battery, dual priority queues, arrival-rate
 estimates, and a Link, which is its own PRR window, per outgoing link that
 has carried a send) and a metrics ledger; events name nodes by their
-states. The calendar has two parts: a heap holds each traffic stream's
+states. The node and link records are slotted: they hold no instance
+dictionary. The calendar has two parts: a heap holds each traffic stream's
 next arrival with its cursor, so a stream with none left or a dead source
 holds nothing, and the ends of sends ride a FIFO. Every send lasts the
 same transmission time x and starts at the current time, which never
@@ -20,6 +21,8 @@ Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
 seed by a stable label, so identical (config, seed) pairs reproduce
 bit-identical results and changing one stream never perturbs the others.
+A lossy link takes its loss draws LOSS_CHUNK at a time: the same doubles,
+in the same order, as one scalar draw per send.
 
 A node dies at the debit that drains its battery, inside the event that
 makes it, and its queued packets are dropped then; a run ends at its
@@ -265,7 +268,9 @@ class _SeedWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the np.uint64 type itself: an identity test answers it
+        # without building a dtype
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(
                 f"holds 4 uint64 seed words, not {n_words} of {np.dtype(dtype)}"
             )
@@ -335,24 +340,43 @@ def poisson_arrival_times(
         n = max(64, int(rate * (horizon - base) * 1.2) + 64)
 
 
+# loss draws a lossy link takes from its generator at a time
+LOSS_CHUNK = 32
+
+
 class Link(LinkStats):
     """One directed link's record, built on its first send: the sender's PRR
     window for it, the transmit energy of a packet over it, its loss
-    probability, the generator of its loss draws (None when the loss is 0)
-    and `sent`, the sends that left the sender's radio over the whole run,
-    where sent_count counts only the outcomes in the window."""
+    probability, the generator of its loss draws (None when the loss is 0),
+    `draws`, an iterator over the link's next loss draws, and `sent`, the
+    sends that left the sender's radio over the whole run, where sent_count
+    counts only the outcomes in the window.
 
-    __slots__ = ("tx_cost", "loss", "loss_rng", "sent")
+    Each send on a lossy link takes the next float from `draws`, and
+    refill_draws takes the next LOSS_CHUNK when it runs out, so the link
+    draws one block per LOSS_CHUNK sends, the first at its first send.
+    numpy fills an array from PCG64 with the doubles that as many scalar
+    random() calls would return, in order, so the k-th draw on a link is
+    the same at any chunk size. Nothing else draws from loss_rng.
+    """
+
+    __slots__ = ("tx_cost", "loss", "loss_rng", "draws", "sent")
 
     def __init__(self, tx_cost, loss, loss_rng, window):
         super().__init__(window)
         self.tx_cost = tx_cost
         self.loss = loss
         self.loss_rng = loss_rng
+        self.draws = iter(())
         self.sent = 0
 
+    def refill_draws(self) -> float:
+        """Take the link's next LOSS_CHUNK loss draws; returns the first."""
+        self.draws = draws = iter(memoryview(self.loss_rng.random(LOSS_CHUNK)))
+        return next(draws)
 
-@dataclass
+
+@dataclass(slots=True)
 class NodeState:
     node_id: int
     # the node is alive while its battery is; the sink's never drains
@@ -390,11 +414,15 @@ class Simulation:
         self.radio = cfg.radio_params()
         self.weights = cfg.weights()
         # per-run constants: the service time x = size / bandwidth of every
-        # send, its square and the receive cost
+        # send and the receive cost; _route unpacks its own from one tuple
         x = service_time(cfg.packet_bits, self.radio)
         self._x = x
-        self._x2 = x * x
         self._rx_cost = rx_energy(cfg.packet_bits, self.radio)
+        w = self.weights
+        self._route_consts = (
+            x, x * x, self._rx_cost, w.alpha, w.beta, w.gamma, w.alpha * x,
+            cfg.predictive_drop,
+        )
         self.now = 0.0
         self._seq = 0
         # events are keyed by (time, seq); seq counts sends and scheduled
@@ -547,7 +575,13 @@ class Simulation:
                 self._drop(packet, DropCause.NODE_DEATH)
                 continue
             link.sent += 1
-            if link.loss > 0.0 and link.loss_rng.random() < link.loss:
+            lost = False
+            if link.loss > 0.0:
+                u = next(link.draws, None)
+                if u is None:
+                    u = link.refill_draws()
+                lost = u < link.loss
+            if lost:
                 link.record_outcome(False)
                 self._drop(packet, DropCause.LINK_LOSS)
             elif target.node_id == SINK_ID:
@@ -588,19 +622,16 @@ class Simulation:
         if not node.battery.alive:
             return
         self._schedule(node, cls, arrivals)
-        budget = (
-            self.cfg.deadline_rt if cls is TrafficClass.RT else self.cfg.deadline_nrt
-        )
-        packet = Packet(
-            packet_id=self._next_packet_id,
-            cls=cls,
-            source=node.node_id,
-            created_at=self.now,
-            deadline=self.now + budget,
-        )
+        now = self.now
+        if cls is TrafficClass.RT:
+            budget, rate = self.cfg.deadline_rt, node.rate_rt
+        else:
+            budget, rate = self.cfg.deadline_nrt, node.rate_nrt
+        # positional: Packet(packet_id, cls, source, created_at, deadline)
+        packet = Packet(self._next_packet_id, cls, node.node_id, now, now + budget)
         self._next_packet_id += 1
         self.metrics.generated[cls] += 1
-        (node.rate_rt if cls is TrafficClass.RT else node.rate_nrt).observe(self.now)
+        rate.observe(now)
         self._arrive(node, packet)
 
     # -- packet lifecycle ----------------------------------------------
@@ -721,15 +752,12 @@ class Simulation:
         now = self.now
         exp = math.exp
         links = node.links
-        x = self._x
-        x2 = self._x2
-        rx_cost = self._rx_cost
-        weights = self.weights
-        alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
-        alpha_x = alpha * x
+        x, x2, rx_cost, alpha, beta, gamma, alpha_x, predictive_drop = (
+            self._route_consts
+        )
         is_rt = packet.cls is TrafficClass.RT
         keep = True
-        if self.cfg.predictive_drop:
+        if predictive_drop:
             deaths = len(self.metrics.deaths)
             if node.hops_deaths != deaths:
                 node.hops_deaths = deaths

@@ -43,7 +43,7 @@ class Packet:
         self.arrived_at = self.created_at
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeQueues:
     """Two bounded FIFO queues plus the packet currently on the radio."""
 
@@ -108,6 +108,8 @@ class RateEstimator:
     tests/test_engine.py::test_decayed_rates_and_prr_windows_match_exactly
     keeps them in step.
     """
+
+    __slots__ = ("tau", "level", "last_arrival")
 
     def __init__(self, tau: float = 1.0):
         if tau <= 0.0:

@@ -153,3 +153,50 @@ class TestBattery:
             assert b.level == expected
             assert math.copysign(1.0, b.level) == math.copysign(1.0, expected)
             assert b.alive or b.level == 0.0
+
+    @given(
+        initial=st.floats(1e-12, 10.0),
+        shares=st.lists(st.floats(0.0, 1.0), max_size=20),
+        end=st.sampled_from(["at", "below", "past"]),
+    )
+    def test_clamp_is_max_at_the_end_of_the_charge_bit_for_bit(
+        self, initial, shares, end
+    ):
+        # debit clamps the level with a compare, not max(0.0, ·): the two give
+        # the same float, the sign of zero included, on debits (each a share
+        # of what is left) that end exactly at the charge, one ulp below it
+        # or past it, and on a last debit of whatever that leaves
+        def check(b):
+            expected = max(0.0, b.initial - b.consumed)
+            assert b.level == expected
+            assert math.copysign(1.0, b.level) == math.copysign(1.0, expected)
+
+        b = Battery(initial)
+        for share in shares:
+            b.debit(share * b.level)
+            check(b)
+        last = {
+            "at": b.level,
+            "below": math.nextafter(b.level, 0.0),
+            "past": math.nextafter(b.level, math.inf),
+        }[end]
+        b.debit(last)
+        check(b)
+        assert b.alive == (end != "past")
+        b.debit(b.level)
+        check(b)
+
+    @given(
+        initial=st.floats(1e-12, 10.0),
+        ratio=st.one_of(
+            st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]),
+            st.floats(0.0, 2.0),
+        ),
+        alive=st.booleans(),
+    )
+    def test_built_level_is_max_bit_for_bit(self, initial, ratio, alive):
+        # __post_init__ clamps the level it builds by the same compare
+        b = Battery(initial, consumed=initial * ratio, alive=alive)
+        expected = max(0.0, b.initial - b.consumed) if alive else 0.0
+        assert b.level == expected
+        assert math.copysign(1.0, b.level) == math.copysign(1.0, expected)

@@ -25,7 +25,10 @@ from wsnqos import cli, engine
 from wsnqos.config import SINK_ID, ScenarioConfig, parse_config
 from wsnqos.energy import Battery, rx_energy, tx_energy
 from wsnqos.engine import (
+    LOSS_CHUNK,
     DropCause,
+    Link,
+    NodeState,
     Simulation,
     _pcg64_seed_words,
     _SeedWords,
@@ -37,7 +40,13 @@ from wsnqos.engine import (
 )
 from wsnqos.geometry import allowed_area, delta, distance, hops_linear
 from wsnqos.linkest import LinkStats
-from wsnqos.node import Packet, RateEstimator, TrafficClass, classify_enqueue
+from wsnqos.node import (
+    NodeQueues,
+    Packet,
+    RateEstimator,
+    TrafficClass,
+    classify_enqueue,
+)
 from wsnqos.queueing import ClassLoad, QueueModelParams
 from wsnqos.routing import (
     NeighborView,
@@ -403,6 +412,27 @@ class TestLossAndPrr:
         )
         m = run(cfg)
         assert m.delivered_total() == 0
+
+    # a lost first send would leave the lone link's PRR at 0 and end its
+    # sends (see above), so these seeds' first draws are deliveries
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_loss_outcomes_are_the_links_stream_in_order(self, seed):
+        # the link draws its loss outcomes LOSS_CHUNK at a time, and the k-th
+        # is still the k-th double of its stream; the window holds every
+        # send, so the link's whole outcome sequence is kept
+        loss = 0.3
+        sim = Simulation(two_node_cfg(
+            rate_rt=40.0, duration=10.0, loss=loss, prr_window=10_000, seed=seed
+        ))
+        m = sim.run()
+        link = sim.nodes[1].links[SINK_ID]
+        n = link.sent
+        assert n == m.tx_by_link[(1, SINK_ID)] == link.sent_count
+        assert n > 3 * LOSS_CHUNK and n % LOSS_CHUNK
+        lost = [not delivered for delivered in link._outcomes]
+        expected = [u < loss for u in stream_rng(seed, f"loss/1/{SINK_ID}").random(n)]
+        assert lost == expected
+        assert m.drop_count(DropCause.LINK_LOSS) == sum(expected) > 0
 
 
 def chain_cfg(**kw):
@@ -1205,6 +1235,80 @@ class TestArrivalRule:
         assert calls["_arrive"] == calls["_route"] == sends
         assert 2 * calls["debit"] == 3 * sends
         assert calls["record_outcome"] == calls["observe"] == sends
+
+    def test_calls_per_send_at_light_load_on_lossy_links(self):
+        # as above, with loss on both hops: a packet lost on the first hop
+        # makes one send, so a relay's receptions, not the packets, count its
+        # second sends, receive debits and rate updates. Each lossy link
+        # draws its outcomes in blocks of LOSS_CHUNK, the first at its first
+        # send, so it makes ceil(sends / LOSS_CHUNK) draws. Seed 7's first
+        # draw on each link is a delivery, so neither PRR falls to 0
+        counted = {
+            Simulation._arrive.__code__: "_arrive",
+            Simulation._route.__code__: "_route",
+            Battery.debit.__code__: "debit",
+            LinkStats.record_outcome.__code__: "record_outcome",
+            RateEstimator.observe.__code__: "observe",
+        }
+        calls = Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code in counted:
+                calls[counted[frame.f_code]] += 1
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.sizes = []
+
+            def random(self, *args, **kwargs):
+                self.sizes.append((args, kwargs))
+                return self.rng.random(*args, **kwargs)
+
+        class CountedLossDraws(Simulation):
+            def _new_link(self, sender, target):
+                link = super()._new_link(sender, target)
+                link.loss_rng = CountingRng(link.loss_rng)
+                return link
+
+        sim = CountedLossDraws(chain_cfg(rate_rt=1.0, duration=100.0, loss=0.2, seed=7))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            m = sim.run()
+        finally:
+            sys.setprofile(previous)
+        sends = m.tx_by_link.total()
+        packets = m.generated_total()
+        received = m.rx_by_node.total()
+        assert m.drop_count(DropCause.LINK_LOSS) > 0
+        assert m.delivered_total() + m.drop_count(DropCause.LINK_LOSS) == packets > 50
+        assert sends == packets + received
+        assert calls["_arrive"] == calls["_route"] == sends
+        assert calls["debit"] == sends + received
+        assert calls["record_outcome"] == calls["observe"] == sends
+        links = [link for st in sim.nodes for link in st.links.values()]
+        assert len(links) == 2
+        for link in links:
+            assert link.sent > LOSS_CHUNK
+            blocks = link.loss_rng.sizes
+            assert len(blocks) == math.ceil(link.sent / LOSS_CHUNK)
+            assert blocks == [((LOSS_CHUNK,), {})] * len(blocks)
+
+    def test_per_run_records_have_no_instance_dict(self):
+        # the records a hop reads and writes are slotted
+        sim = Simulation(chain_cfg(rate_rt=20.0, duration=2.0, loss=0.1))
+        sim.run()
+        node = sim.nodes[2]
+        records = [
+            node, node.battery, node.queues, node.rate_rt, node.rate_nrt,
+            *node.links.values(),
+            Packet(0, TrafficClass.RT, 2, 0.0, 1.0),
+        ]
+        kinds = {type(r) for r in records}
+        assert kinds == {NodeState, Battery, NodeQueues, RateEstimator, Link, Packet}
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def fixed_rate(sim, rate):
