@@ -1147,6 +1147,35 @@ def engine_calls(monkeypatch):
     return calls
 
 
+def run_profiled(sim):
+    """Run sim under a profile hook; returns its metrics and the calls made
+    to each engine function by name, with Battery.debit, record_outcome and
+    RateEstimator.observe counted as "debit", "record_outcome", "observe"."""
+    counted = {
+        Battery.debit.__code__: "debit",
+        LinkStats.record_outcome.__code__: "record_outcome",
+        RateEstimator.observe.__code__: "observe",
+    }
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in counted:
+            calls[counted[code]] += 1
+        elif code.co_filename == engine.__file__:
+            calls[code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        m = sim.run()
+    finally:
+        sys.setprofile(previous)
+    return m, calls
+
+
 class TestArrivalRule:
     @pytest.mark.parametrize("name", sorted(ARRIVAL_SCENARIOS))
     def test_matches_queueing_every_arrival(self, engine_calls, name):
@@ -1202,31 +1231,7 @@ class TestArrivalRule:
         # (node 1) and then the sink, so it makes two sends, three debits
         # (the head's send, the relay's receive and its send) and two rate
         # updates (at its generation and at the relay)
-        counted = {
-            Simulation._arrive.__code__: "_arrive",
-            Simulation._route.__code__: "_route",
-            Battery.debit.__code__: "debit",
-            LinkStats.record_outcome.__code__: "record_outcome",
-            RateEstimator.observe.__code__: "observe",
-        }
-        calls = Counter()
-
-        def profile(frame, event, _arg):
-            if event != "call":
-                return
-            code = frame.f_code
-            if code in counted:
-                calls[counted[code]] += 1
-            elif code.co_filename == engine.__file__:
-                calls[code.co_name] += 1
-
-        sim = Simulation(chain_cfg(rate_rt=1.0, duration=100.0))
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            m = sim.run()
-        finally:
-            sys.setprofile(previous)
+        m, calls = run_profiled(Simulation(chain_cfg(rate_rt=1.0, duration=100.0)))
         sends = m.tx_by_link.total()
         packets = m.generated_total()
         assert m.delivered_total() == packets > 50
@@ -1243,26 +1248,13 @@ class TestArrivalRule:
         # draws its outcomes in blocks of LOSS_CHUNK, the first at its first
         # send, so it makes ceil(sends / LOSS_CHUNK) draws. Seed 7's first
         # draw on each link is a delivery, so neither PRR falls to 0
-        counted = {
-            Simulation._arrive.__code__: "_arrive",
-            Simulation._route.__code__: "_route",
-            Battery.debit.__code__: "debit",
-            LinkStats.record_outcome.__code__: "record_outcome",
-            RateEstimator.observe.__code__: "observe",
-        }
-        calls = Counter()
-
-        def profile(frame, event, _arg):
-            if event == "call" and frame.f_code in counted:
-                calls[counted[frame.f_code]] += 1
-
         class CountingRng:
             def __init__(self, rng):
                 self.rng = rng
-                self.sizes = []
+                self.calls = []
 
             def random(self, *args, **kwargs):
-                self.sizes.append((args, kwargs))
+                self.calls.append((args, kwargs))
                 return self.rng.random(*args, **kwargs)
 
         class CountedLossDraws(Simulation):
@@ -1272,18 +1264,14 @@ class TestArrivalRule:
                 return link
 
         sim = CountedLossDraws(chain_cfg(rate_rt=1.0, duration=100.0, loss=0.2, seed=7))
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            m = sim.run()
-        finally:
-            sys.setprofile(previous)
+        m, calls = run_profiled(sim)
         sends = m.tx_by_link.total()
         packets = m.generated_total()
         received = m.rx_by_node.total()
         assert m.drop_count(DropCause.LINK_LOSS) > 0
         assert m.delivered_total() + m.drop_count(DropCause.LINK_LOSS) == packets > 50
         assert sends == packets + received
+        assert calls["_deliver"] == calls["_serve"] == 0
         assert calls["_arrive"] == calls["_route"] == sends
         assert calls["debit"] == sends + received
         assert calls["record_outcome"] == calls["observe"] == sends
@@ -1291,7 +1279,7 @@ class TestArrivalRule:
         assert len(links) == 2
         for link in links:
             assert link.sent > LOSS_CHUNK
-            blocks = link.loss_rng.sizes
+            blocks = link.loss_rng.calls
             assert len(blocks) == math.ceil(link.sent / LOSS_CHUNK)
             assert blocks == [((LOSS_CHUNK,), {})] * len(blocks)
 
