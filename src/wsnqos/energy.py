@@ -21,11 +21,14 @@ class RadioParams:
     eps_fs: float  # J/bit/m^2
     eps_amp: float  # J/bit/m^4
     bandwidth: float  # bit/s
+    # crossover_distance of these constants, taken once at construction
+    crossover: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("e_elec", "eps_fs", "eps_amp", "bandwidth"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+        object.__setattr__(self, "crossover", crossover_distance(self))
 
     @classmethod
     def from_table_units(
@@ -48,9 +51,10 @@ def tx_energy(k: int, d: float, radio: RadioParams) -> float:
     """Energy to transmit k bits over distance d (meters).
 
     Uses the free-space d^2 amplifier below the crossover distance and the
-    multipath d^4 amplifier at or beyond it; the two branches agree at d0.
+    multipath d^4 amplifier at or beyond it; the two branches agree at d0,
+    which the radio holds as `crossover`.
     """
-    if d < crossover_distance(radio):
+    if d < radio.crossover:
         return k * radio.e_elec + k * radio.eps_fs * d * d
     return k * radio.e_elec + k * radio.eps_amp * d * d * d * d
 

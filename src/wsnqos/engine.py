@@ -17,6 +17,13 @@ node routes it (_route) and puts it on the radio there, and a busy one
 queues it. When a node falls idle with packets queued, _try_start_service
 hands them to _serve, the queue path's copy of the send's start.
 
+Two records are built on first use, not at set-up: a node's hop estimate
+for the predictive drop at its first decision, from the sink distance the
+topology stores (geometry.hop_estimate), and a link's Link at its first
+send. At the end of the run, _finalize gathers the node and link records'
+tallies into the Metrics in one pass and checks that energy and packets
+are conserved.
+
 Every stochastic stream (placement, each source's per-class traffic, each
 directed link's loss draws) has its own generator derived from the master
 seed by a stable label, so identical (config, seed) pairs reproduce
@@ -50,10 +57,9 @@ from enum import Enum
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import routing
 from .config import SINK_ID, ScenarioConfig
 from .energy import Battery, rx_energy, tx_energy
-from .geometry import Position, Topology, allowed_area, delta, distance
+from .geometry import Position, Topology, distance, hop_estimate
 from .linkest import LinkStats
 from .node import (
     NodeQueues,
@@ -65,8 +71,11 @@ from .node import (
     expire_drops,
     service_time,
 )
-# _route scores candidates inline; the readable reference path stays bound
-# here so tests and perfbench/tracer.py find it by name on this module.
+# _route scores candidates inline and _hops_to_sink takes hop_estimate over
+# the stored sink distance; the readable reference path and the hop
+# estimate's position-based steps stay bound here so tests and
+# perfbench/tracer.py find them by name on this module.
+from .geometry import allowed_area, delta  # noqa: F401
 from .routing import (  # noqa: F401
     build_neighbor_table,
     min_finite_delay,
@@ -343,6 +352,10 @@ def poisson_arrival_times(
 # loss draws a lossy link takes from its generator at a time
 LOSS_CHUNK = 32
 
+# the draws of a link that has none yet: an exhausted iterator stays
+# exhausted, so every new link can share it
+_NO_DRAWS = iter(())
+
 
 class Link(LinkStats):
     """One directed link's record, built on its first send: the sender's PRR
@@ -363,11 +376,13 @@ class Link(LinkStats):
     __slots__ = ("tx_cost", "loss", "loss_rng", "draws", "sent")
 
     def __init__(self, tx_cost, loss, loss_rng, window):
-        super().__init__(window)
+        # named, not through super(): the same method, without building a
+        # super object per link
+        LinkStats.__init__(self, window)
         self.tx_cost = tx_cost
         self.loss = loss
         self.loss_rng = loss_rng
-        self.draws = iter(())
+        self.draws = _NO_DRAWS
         self.sent = 0
 
     def refill_draws(self) -> float:
@@ -457,7 +472,9 @@ class Simulation:
         # check stays on under python -O
         topology = self.topology
         start, allowed = topology.allowed_table()
-        dist = np.array(list(map(topology.distance_to_sink, range(cfg.node_count))))
+        # by node id; _hops_to_sink reads the same list
+        self._sink_dist = topology.distances_to_sink()
+        dist = np.array(self._sink_dist)
         owner = np.repeat(np.arange(len(dist)), np.diff(start))
         bad = np.flatnonzero(~(dist[allowed] < dist[owner]))
         if bad.size:
@@ -761,7 +778,10 @@ class Simulation:
             deaths = len(self.metrics.deaths)
             if node.hops_deaths != deaths:
                 node.hops_deaths = deaths
-                alive = sum(st.battery.alive for st in node.allowed)
+                alive = 0
+                for st in node.allowed:
+                    if st.battery.alive:
+                        alive += 1
                 if alive != node.hops_alive:
                     node.hops_alive = alive
                     node.hops = self._hops_to_sink(node, alive) if alive else 0
@@ -866,62 +886,90 @@ class Simulation:
 
     def _hops_to_sink(self, node: NodeState, alive: int) -> int:
         """Hops of a straight path to the sink at the relay spacing of
-        `alive` neighbors over the node's allowed area; 0 when the area or
-        the spacing is not positive, which disables the predictive drop.
-        Only a node with an alive allowed neighbor asks; that neighbor is
-        strictly closer to the sink, so the node is not at the sink."""
-        positions = self.topology.positions
-        pos, sink = positions[node.node_id], positions[SINK_ID]
-        area = allowed_area(pos, sink, self.cfg.radio_range)
-        if area <= 0.0:
-            return 0
-        spacing = delta(area, alive)
-        if spacing <= 0.0:
-            return 0
-        # looked up on routing, where perfbench/tracer.py wraps it
-        return routing.hops_linear(pos, sink, spacing)
+        `alive` neighbors over the node's allowed area, from its stored
+        sink distance (geometry.hop_estimate); 0 when the area or the
+        spacing is not positive, which disables the predictive drop. Only a
+        node with an alive allowed neighbor asks; that neighbor is strictly
+        closer to the sink, so the node is not at the sink."""
+        return hop_estimate(self._sink_dist[node.node_id], self.cfg.radio_range, alive)
 
     def _finalize(self) -> None:
+        """Export the node and link records' tallies into Metrics and check
+        that the energy ledger, each battery and the packet count close.
+
+        One pass over the nodes: a node with empty queues, no links or no
+        receptions adds nothing there, and each wait class is written only
+        when its count is nonzero, under one key for its count and its sum.
+        The Counter and defaultdict tallies are gathered in plain dicts and
+        copied in once with dict.update, since a store into a dict subclass
+        misses the interpreter's exact-dict fast path. A battery that does
+        not close is noted in the pass and raised after the ledger check.
+        """
         m = self.metrics
         m.end_time = self.now
+        energy_by_node = m.energy_by_node
+        residual_by_node = m.residual_by_node
+        tx_by_link = {}
+        rx_by_node = {}
+        wait_count = {}
+        wait_sum = {}
+        RT = TrafficClass.RT
+        NRT = TrafficClass.NRT
+        isclose = math.isclose
         in_flight = 0
-        for nid, st in enumerate(self.nodes):
+        unclosed = None
+        for st in self.nodes:
+            nid = st.node_id
             queues = st.queues
-            in_flight += len(queues.rt) + len(queues.nrt)
+            if queues.rt or queues.nrt:
+                in_flight += len(queues.rt) + len(queues.nrt)
             if queues.in_service is not None:
                 in_flight += 1
             if nid != SINK_ID:
-                m.energy_by_node[nid] = st.battery.consumed
-                m.residual_by_node[nid] = st.battery.residual
-            for target, link in st.links.items():
-                if link.sent:
-                    m.tx_by_link[(nid, target)] = link.sent
+                battery = st.battery
+                energy_by_node[nid] = consumed = battery.consumed
+                residual_by_node[nid] = residual = battery.residual
+                # isclose is True for equal floats, so the compare only
+                # skips a call
+                if (
+                    unclosed is None
+                    and consumed + residual != battery.initial
+                    and not isclose(consumed + residual, battery.initial, rel_tol=1e-9)
+                ):
+                    unclosed = (nid, consumed, residual, battery.initial)
+            if st.links:
+                for target, link in st.links.items():
+                    if link.sent:
+                        tx_by_link[(nid, target)] = link.sent
             if st.received:
-                m.rx_by_node[nid] = st.received
-            for cls, count, total in (
-                (TrafficClass.RT, st.waits_rt, st.wait_sum_rt),
-                (TrafficClass.NRT, st.waits_nrt, st.wait_sum_nrt),
-            ):
-                if count:
-                    m.wait_count[(nid, cls)] = count
-                    m.wait_sum[(nid, cls)] = total
+                rx_by_node[nid] = st.received
+            if st.waits_rt:
+                key = (nid, RT)
+                wait_count[key] = st.waits_rt
+                wait_sum[key] = st.wait_sum_rt
+            if st.waits_nrt:
+                key = (nid, NRT)
+                wait_count[key] = st.waits_nrt
+                wait_sum[key] = st.wait_sum_nrt
+        dict.update(m.tx_by_link, tx_by_link)
+        dict.update(m.rx_by_node, rx_by_node)
+        dict.update(m.wait_count, wait_count)
+        dict.update(m.wait_sum, wait_sum)
         # raise, not assert, so the checks stay on under python -O; the
         # ledger comes first, since a debit that drains less than it reports
         # leaves its battery's stored level behind as well
-        per_node = math.fsum(m.energy_by_node.values())
-        if not math.isclose(per_node, m.total_energy, rel_tol=1e-9):
+        per_node = math.fsum(energy_by_node.values())
+        if not isclose(per_node, m.total_energy, rel_tol=1e-9):
             raise RuntimeError(
                 f"energy ledger does not close: per-node sum {per_node!r} "
                 f"!= total_energy {m.total_energy!r}"
             )
-        for nid, consumed in m.energy_by_node.items():
-            residual = m.residual_by_node[nid]
-            initial = self.nodes[nid].battery.initial
-            if not math.isclose(consumed + residual, initial, rel_tol=1e-9):
-                raise RuntimeError(
-                    f"battery of node {nid} does not close: consumed "
-                    f"{consumed!r} + residual {residual!r} != initial {initial!r}"
-                )
+        if unclosed is not None:
+            nid, consumed, residual, initial = unclosed
+            raise RuntimeError(
+                f"battery of node {nid} does not close: consumed "
+                f"{consumed!r} + residual {residual!r} != initial {initial!r}"
+            )
         m.in_flight = in_flight
         generated, delivered, dropped = (
             m.generated_total(), m.delivered_total(), m.drops_total()

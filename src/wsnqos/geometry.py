@@ -7,7 +7,9 @@ hop then strictly approaches the sink, as in GPSR's greedy mode (Karp &
 Kung, MobiCom 2000), so no packet can bounce between two nodes at equal
 sink distance. That region's area, divided by the number of neighbors
 inside it, gives an estimate of the spacing between relays and hence of
-the number of hops left on a straight path to the sink.
+the number of hops left on a straight path to the sink (hop_estimate, from
+the sender's distance to the sink; allowed_area and hops_linear are its
+steps from positions).
 
 `Topology` builds every sender's allowed-neighbor list at construction, in
 one numpy pass over a uniform cell grid whose cell side is a little over the
@@ -62,20 +64,40 @@ def is_allowed_neighbor(
 
 
 def circle_intersection_area(r1: float, r2: float, d: float) -> float:
-    """Area of the lens formed by two circles with center distance d."""
+    """Area of the lens formed by two circles with center distance d.
+
+    The clamps are compares, not min() and max() calls: `r2 if r2 < r1 else
+    r1` is min(r1, r2), the acos argument's clamp is max(-1.0, min(1.0, v))
+    and the square root's is max(h, 0.0), each the same float for every
+    input, NaN and signed zeros included (a NaN argument clamps to 1.0, a
+    NaN h stays NaN).
+    """
     if d >= r1 + r2:
         return 0.0
     if d <= abs(r1 - r2):
-        r = min(r1, r2)
+        r = r2 if r2 < r1 else r1
         return math.pi * r * r
     d1 = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
     d2 = d - d1
     # clamp the acos arguments against round-off at tangency
-    a1 = max(-1.0, min(1.0, d1 / r1))
-    a2 = max(-1.0, min(1.0, d2 / r2))
-    seg1 = r1 * r1 * math.acos(a1) - d1 * math.sqrt(max(r1 * r1 - d1 * d1, 0.0))
-    seg2 = r2 * r2 * math.acos(a2) - d2 * math.sqrt(max(r2 * r2 - d2 * d2, 0.0))
+    a1 = d1 / r1
+    a1 = (a1 if a1 > -1.0 else -1.0) if a1 < 1.0 else 1.0
+    a2 = d2 / r2
+    a2 = (a2 if a2 > -1.0 else -1.0) if a2 < 1.0 else 1.0
+    h1 = r1 * r1 - d1 * d1
+    h2 = r2 * r2 - d2 * d2
+    seg1 = r1 * r1 * math.acos(a1) - d1 * math.sqrt(0.0 if h1 < 0.0 else h1)
+    seg2 = r2 * r2 * math.acos(a2) - d2 * math.sqrt(0.0 if h2 < 0.0 else h2)
     return seg1 + seg2
+
+
+def allowed_area_at(sink_distance: float, radio_range: float) -> float:
+    """Area of the allowed-neighbor region of a sender at sink_distance > 0
+    from the sink: the lens of disk(sender, radio_range) and disk(sink,
+    sink_distance)."""
+    if sink_distance <= 0.0:
+        raise ValueError("sender and sink must not coincide")
+    return circle_intersection_area(radio_range, sink_distance, sink_distance)
 
 
 def allowed_area(sender: Position, sink: Position, radio_range: float) -> float:
@@ -84,10 +106,7 @@ def allowed_area(sender: Position, sink: Position, radio_range: float) -> float:
     Intersection of disk(sender, radio_range) with disk(sink, |sender-sink|);
     requires the sender not to sit exactly on the sink.
     """
-    d = distance(sender, sink)
-    if d <= 0.0:
-        raise ValueError("sender and sink must not coincide")
-    return circle_intersection_area(radio_range, d, d)
+    return allowed_area_at(distance(sender, sink), radio_range)
 
 
 def delta(area: float, neighbor_count: int) -> float:
@@ -97,14 +116,36 @@ def delta(area: float, neighbor_count: int) -> float:
     return math.sqrt(area / neighbor_count)
 
 
+def hops_at(sink_distance: float, spacing: float) -> int:
+    """Hops of a straight path of length sink_distance at the given relay
+    spacing: the ceiling of sink_distance / spacing, never less than one."""
+    if spacing <= 0.0:
+        raise ValueError("spacing must be > 0")
+    hops = math.ceil(sink_distance / spacing)
+    return hops if hops > 1 else 1
+
+
 def hops_linear(sender: Position, sink: Position, spacing: float) -> int:
     """Hops of a straight path to the sink at the given relay spacing.
 
     Ceiling of distance/spacing, never less than one hop.
     """
+    return hops_at(distance(sender, sink), spacing)
+
+
+def hop_estimate(sink_distance: float, radio_range: float, neighbor_count: int) -> int:
+    """Hops to the sink of a sender at sink_distance > 0 from it with
+    neighbor_count >= 1 neighbors in its allowed region, at the relay
+    spacing delta gives over that region's area: what hops_linear, delta
+    and allowed_area give from the sender's position. 0, meaning no
+    estimate, when the area or the spacing underflows to 0."""
+    area = allowed_area_at(sink_distance, radio_range)
+    if area <= 0.0:
+        return 0
+    spacing = delta(area, neighbor_count)
     if spacing <= 0.0:
-        raise ValueError("spacing must be > 0")
-    return max(1, math.ceil(distance(sender, sink) / spacing))
+        return 0
+    return hops_at(sink_distance, spacing)
 
 
 # Candidate pairs one block of senders holds at once in
@@ -283,6 +324,11 @@ class Topology:
         if not 0 <= node_id < len(self._sink_dist):
             raise KeyError(node_id)
         return self._sink_dist[node_id]
+
+    def distances_to_sink(self) -> list[float]:
+        """Every node's distance_to_sink, indexed by node id: the topology's
+        own list, read-only by convention."""
+        return self._sink_dist
 
     def allowed_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every node's allowed neighbors at once: (start, ids), node i's

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .energy import RadioParams, rx_energy
-# the engine calls hops_linear through this module, where perfbench/tracer.py
-# wraps it
+# bound here because perfbench/tracer.py wraps hops_linear on this module;
+# the engine now takes geometry.hop_estimate over the stored sink distance
 from .geometry import Position, hops_linear  # noqa: F401
 from .node import TrafficClass, service_time
 from .queueing import QueueModelParams, UnstableError, wait_nrt, wait_rt

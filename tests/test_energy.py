@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -25,6 +26,17 @@ class TestCrossover:
     def test_perfect_square_ratio(self):
         radio = RadioParams(1e-9, 4e-12, 1e-12, 1.0)
         assert crossover_distance(radio) == pytest.approx(2.0)
+
+    def test_radio_holds_its_crossover(self):
+        # taken once at construction, for tx_energy, and not part of the
+        # radio's value
+        quadrupled = dataclasses.replace(REF, eps_fs=4 * REF.eps_fs)
+        for radio in (REF, quadrupled):
+            assert radio.crossover == math.sqrt(radio.eps_fs / radio.eps_amp)
+            assert radio.crossover == crossover_distance(radio)
+        assert quadrupled.crossover == 2 * REF.crossover
+        assert "crossover" not in repr(REF)
+        assert REF == RadioParams(REF.e_elec, REF.eps_fs, REF.eps_amp, REF.bandwidth)
 
 
 class TestTxEnergy:

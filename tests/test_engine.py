@@ -9,13 +9,14 @@ import textwrap
 import tracemalloc
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from math import fsum
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_with_deliveries
+from test_benchmark_outputs import WORKLOADS as BENCHMARK_WORKLOADS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
@@ -1053,6 +1054,28 @@ def test_hop_estimate_is_retaken_only_when_its_count_changes():
     assert len(sim.hops_calls) == 152
 
 
+@pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
+def test_hop_estimate_is_the_position_based_estimate(name):
+    # _hops_to_sink takes the estimate from the topology's stored sink
+    # distance; on every node of each benchmark layout and at every alive
+    # count it could see, it is the estimate that allowed_area, delta and
+    # hops_linear give from the node's position
+    cfg = parse_config(BENCHMARK_WORKLOADS[name].config_text(1))
+    sim = Simulation(cfg)
+    positions = sim.topology.positions
+    sink = positions[SINK_ID]
+    checked = 0
+    for node in sim.nodes:
+        pos = positions[node.node_id]
+        for alive in range(1, len(node.allowed) + 1):
+            expected = hops_linear(
+                pos, sink, delta(allowed_area(pos, sink, cfg.radio_range), alive)
+            )
+            assert sim._hops_to_sink(node, alive) == expected, (node.node_id, alive)
+            checked += 1
+    assert checked >= len(sim.nodes)
+
+
 class EventOrderRecorder(Simulation):
     """Notes each generation and each send completion as it is handled."""
 
@@ -1915,18 +1938,109 @@ def test_link_state_is_built_once_per_link(monkeypatch):
     assert m.wait_count.total() == routed[False]
 
 
+def reference_gather(sim):
+    """The Metrics tallies that Simulation._finalize exports, read field by
+    field from the run's node and link records, in node id order, then
+    link order, then RT before NRT."""
+    nodes = sim.nodes
+    tallies = {
+        "end_time": sim.now,
+        "in_flight": 0,
+        "energy_by_node": {},
+        "residual_by_node": {},
+        "tx_by_link": Counter(),
+        "rx_by_node": Counter(),
+        "wait_count": Counter(),
+        "wait_sum": defaultdict(float),
+    }
+    for st in nodes:
+        queues = st.queues
+        tallies["in_flight"] += len(queues.rt) + len(queues.nrt)
+        if queues.in_service is not None:
+            tallies["in_flight"] += 1
+    for st in nodes:
+        if st.node_id != SINK_ID:
+            tallies["energy_by_node"][st.node_id] = st.battery.consumed
+            tallies["residual_by_node"][st.node_id] = st.battery.residual
+    for st in nodes:
+        for target, link in st.links.items():
+            if link.sent > 0:
+                tallies["tx_by_link"][(st.node_id, target)] = link.sent
+    for st in nodes:
+        if st.received > 0:
+            tallies["rx_by_node"][st.node_id] = st.received
+    for st in nodes:
+        per_class = [
+            (TrafficClass.RT, st.waits_rt, st.wait_sum_rt),
+            (TrafficClass.NRT, st.waits_nrt, st.wait_sum_nrt),
+        ]
+        for cls, count, total in per_class:
+            if count > 0:
+                tallies["wait_count"][(st.node_id, cls)] = count
+                tallies["wait_sum"][(st.node_id, cls)] = total
+    return tallies
+
+
+def assert_gather_matches(sim, m):
+    for name, expected in reference_gather(sim).items():
+        got = getattr(m, name)
+        assert type(got) is type(expected), name
+        if isinstance(expected, dict):
+            # the same keys in the same order, each with the same value
+            assert list(got.items()) == list(expected.items()), name
+        else:
+            assert got == expected, name
+    assert m.wait_sum.default_factory is float
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_gather_matches_the_records_on_the_golden_scenarios(name):
+    # the golden CSVs carry none of these tallies, so they are checked here
+    cfg = parse_config(GOLDEN_SCENARIOS[name][0])
+    sim = Simulation(cfg)
+    m = sim.run()
+    assert m.tx_by_link
+    assert_gather_matches(sim, m)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from([0.1, 0.2, 0.3]),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 23), st.sampled_from([0.0, 0.5, 0.9])),
+        min_size=1,
+        max_size=6,
+    ),
+    energy=st.sampled_from([0.0002, 0.0004]),
+)
+def test_gather_matches_the_records_with_deaths_and_losses(seed, loss, overrides, energy):
+    lines = [
+        "node_count = 24", "grid.width = 220", "grid.height = 220",
+        f"loss = {loss}", "rate.rt = 4", "rate.nrt = 4", "duration = 4",
+        f"initial_energy = {energy}", f"seed = {seed}",
+    ]
+    lines += [f"loss.{u}.{v} = {p}" for u, v, p in overrides if u != v]
+    cfg = parse_config("\n".join(lines) + "\n")
+    sim = Simulation(cfg)
+    m = sim.run()
+    assert m.deaths
+    assert m.drop_count(DropCause.LINK_LOSS) > 0
+    assert_gather_matches(sim, m)
+
+
 def test_invariant_checks_run_under_python_O():
     # an allowed neighbor no closer to the sink, a leaky battery debit, a
     # packet that leaves without being counted, a negative arrival-rate
     # estimate and a send completion that ends before its send started must
     # each stop the run even when asserts are compiled out. Every node reads
-    # as equally far from the sink, so the set-up check fails whatever order
-    # it looks them up in.
+    # as equally far from the sink in the distance list the set-up check
+    # compares, so it fails whatever order it reads them in.
     cases = [
         (
             """
             from wsnqos.geometry import Topology
-            Topology.distance_to_sink = lambda self, node_id: 1.0
+            Topology.distances_to_sink = lambda self: [1.0] * len(self.positions)
             """,
             "RuntimeError: allowed neighbor 0 of node 1 is no closer to the sink",
         ),

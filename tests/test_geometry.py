@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from unittest import mock
@@ -108,6 +109,127 @@ class TestLensArea:
         analytic = circle_intersection_area(r1, r2, d)
         estimate = lens_area_monte_carlo(r1, r2, d)
         assert estimate == pytest.approx(analytic, rel=0.02)
+
+
+def min_max_lens_area(r1, r2, d):
+    """circle_intersection_area as it was written with min() and max()."""
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        r = min(r1, r2)
+        return math.pi * r * r
+    d1 = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    d2 = d - d1
+    a1 = max(-1.0, min(1.0, d1 / r1))
+    a2 = max(-1.0, min(1.0, d2 / r2))
+    seg1 = r1 * r1 * math.acos(a1) - d1 * math.sqrt(max(r1 * r1 - d1 * d1, 0.0))
+    seg2 = r2 * r2 * math.acos(a2) - d2 * math.sqrt(max(r2 * r2 - d2 * d2, 0.0))
+    return seg1 + seg2
+
+
+def same_float(a, b):
+    """Bit for bit as values: both NaN, or equal with the same sign."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ArithmeticError as exc:
+        return ("raises", type(exc))
+
+
+def same_outcome(a, b):
+    if a[0] == "raises" or b[0] == "raises":
+        return a == b
+    return same_float(a[1], b[1])
+
+
+SPECIAL = [
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.0, 0.5,
+    math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+    math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0),
+    5e-324, -5e-324, 1e308, -1e308,
+]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True))
+
+
+class TestLensAreaClamps:
+    """circle_intersection_area clamps with compares; each one gives the
+    float that the min() or max() call it replaced gives."""
+
+    # each compare as circle_intersection_area writes it, with the call it
+    # replaced
+    CLAMPS = [
+        ("(a1 if a1 > -1.0 else -1.0) if a1 < 1.0 else 1.0", "a1",
+         lambda v: max(-1.0, min(1.0, v))),
+        ("(a2 if a2 > -1.0 else -1.0) if a2 < 1.0 else 1.0", "a2",
+         lambda v: max(-1.0, min(1.0, v))),
+        ("0.0 if h1 < 0.0 else h1", "h1", lambda h: max(h, 0.0)),
+        ("0.0 if h2 < 0.0 else h2", "h2", lambda h: max(h, 0.0)),
+    ]
+
+    def test_the_compares_are_the_functions_own(self):
+        source = inspect.getsource(circle_intersection_area)
+        for expr, _name, _call in self.CLAMPS:
+            assert expr in source
+        assert "r2 if r2 < r1 else r1" in source
+        assert not {"min", "max"} & set(circle_intersection_area.__code__.co_names)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=any_float)
+    def test_each_compare_is_its_call(self, v):
+        for expr, name, call in self.CLAMPS:
+            compare = eval(f"lambda {name}: {expr}")
+            assert same_float(compare(v), call(v)), (expr, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r1=any_float, r2=any_float)
+    def test_the_radius_compare_is_min(self, r1, r2):
+        assert same_float(r2 if r2 < r1 else r1, min(r1, r2))
+
+    @settings(max_examples=500, deadline=None)
+    @given(r1=any_float, r2=any_float, d=any_float)
+    def test_area_is_the_min_max_area_bit_for_bit(self, r1, r2, d):
+        assert same_outcome(
+            outcome(circle_intersection_area, r1, r2, d),
+            outcome(min_max_lens_area, r1, r2, d),
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        r1=st.floats(1e-6, 1e6),
+        r2=st.floats(1e-6, 1e6),
+        edge=st.sampled_from(["outer", "inner"]),
+        ulps=st.integers(-3, 3),
+    )
+    def test_area_at_tangency_is_the_min_max_area(self, r1, r2, edge, ulps):
+        # d within a few ulps of external (r1 + r2) or internal (|r1 - r2|)
+        # tangency, where round-off pushes the acos argument past +-1 and
+        # the square root's argument below 0
+        d = r1 + r2 if edge == "outer" else abs(r1 - r2)
+        for _ in range(abs(ulps)):
+            d = math.nextafter(d, math.inf if ulps > 0 else -math.inf)
+        assert same_outcome(
+            outcome(circle_intersection_area, r1, r2, d),
+            outcome(min_max_lens_area, r1, r2, d),
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(d=st.floats(1e-6, 1e6), ulps=st.integers(-3, 3))
+    def test_allowed_area_at_containment_is_the_min_max_area(self, d, ulps):
+        # the allowed area's own lens, circle_intersection_area(r, d, d),
+        # at a range r within a few ulps of 2d, where the sink disk is
+        # just contained in the radio disk
+        r = 2.0 * d
+        for _ in range(abs(ulps)):
+            r = math.nextafter(r, math.inf if ulps > 0 else -math.inf)
+        assert same_outcome(
+            outcome(circle_intersection_area, r, d, d),
+            outcome(min_max_lens_area, r, d, d),
+        )
 
 
 class TestAllowedArea:
