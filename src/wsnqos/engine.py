@@ -71,10 +71,9 @@ from .node import (
     expire_drops,
     service_time,
 )
-# _route scores candidates inline and _hops_to_sink takes hop_estimate over
-# the stored sink distance; the readable reference path and the hop
-# estimate's position-based steps stay bound here so tests and
-# perfbench/tracer.py find them by name on this module.
+# _route scores candidates inline and _hops_to_sink calls hop_estimate; the
+# readable reference path, allowed_area and delta stay bound here so tests
+# and perfbench/tracer.py find them by name on this module.
 from .geometry import allowed_area, delta  # noqa: F401
 from .routing import (  # noqa: F401
     build_neighbor_table,
