@@ -40,7 +40,7 @@ class NoNeighborsError(ValueError):
     """Hop-spacing estimate requested with zero neighbors in the region."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     x: float
     y: float

@@ -3,6 +3,11 @@
 Each relay keeps two FIFO queues. Real-time packets always serve before
 non-real-time ones, service is never preempted, and packets whose deadline
 passed while queued are discarded before the next dequeue.
+
+Most arrivals find their node idle and never queue, so a class's queue is
+not built until a packet first queues there: until then it is NO_QUEUE, one
+empty tuple that every node shares, which every read, length check and pop
+loop here and in the engine sees as an empty queue.
 """
 
 from __future__ import annotations
@@ -43,21 +48,36 @@ class Packet:
         self.arrived_at = self.created_at
 
 
+# the queue of a class no packet has queued in yet, shared by every node
+NO_QUEUE: tuple = ()
+
+
 @dataclass(slots=True)
 class NodeQueues:
-    """Two bounded FIFO queues plus the packet currently on the radio."""
+    """Two bounded FIFO queues plus the packet currently on the radio; each
+    queue is NO_QUEUE until classify_enqueue builds its deque."""
 
     capacity: int = 64
-    rt: deque = field(default_factory=deque)
-    nrt: deque = field(default_factory=deque)
+    rt: deque | tuple = NO_QUEUE
+    nrt: deque | tuple = NO_QUEUE
     in_service: Packet | None = None
 
 
 def classify_enqueue(queues: NodeQueues, packet: Packet) -> bool:
-    """Append the packet to its class queue; False when the queue is full."""
-    q = queues.rt if packet.cls is TrafficClass.RT else queues.nrt
+    """Append the packet to its class queue, building the queue's deque at
+    its first packet; False when the queue is full. A queue that has
+    emptied keeps its deque: the check is for the sentinel, not for an
+    empty queue."""
+    rt = packet.cls is TrafficClass.RT
+    q = queues.rt if rt else queues.nrt
     if len(q) >= queues.capacity:
         return False
+    if q is NO_QUEUE:
+        q = deque()
+        if rt:
+            queues.rt = q
+        else:
+            queues.nrt = q
     q.append(packet)
     return True
 

@@ -39,7 +39,7 @@ from wsnqos.engine import (
     stream_rng,
     stream_rngs,
 )
-from wsnqos.geometry import allowed_area, delta, distance, hops_linear
+from wsnqos.geometry import Position, allowed_area, delta, distance, hops_linear
 from wsnqos.linkest import LinkStats
 from wsnqos.node import (
     NodeQueues,
@@ -430,7 +430,7 @@ class TestLossAndPrr:
         n = link.sent
         assert n == m.tx_by_link[(1, SINK_ID)] == link.sent_count
         assert n > 3 * LOSS_CHUNK and n % LOSS_CHUNK
-        lost = [not delivered for delivered in link._outcomes]
+        lost = [not delivered for delivered in link.outcomes()]
         expected = [u < loss for u in stream_rng(seed, f"loss/1/{SINK_ID}").random(n)]
         assert lost == expected
         assert m.drop_count(DropCause.LINK_LOSS) == sum(expected) > 0
@@ -1315,9 +1315,12 @@ class TestArrivalRule:
             node, node.battery, node.queues, node.rate_rt, node.rate_nrt,
             *node.links.values(),
             Packet(0, TrafficClass.RT, 2, 0.0, 1.0),
+            sim.topology.positions[2],
         ]
         kinds = {type(r) for r in records}
-        assert kinds == {NodeState, Battery, NodeQueues, RateEstimator, Link, Packet}
+        assert kinds == {
+            NodeState, Battery, NodeQueues, RateEstimator, Link, Packet, Position
+        }
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 

@@ -1,9 +1,41 @@
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wsnqos.linkest import LinkStats
+
+
+class DequeWindow:
+    """The reference window: a deque that pops its oldest outcome once it
+    holds `window`, with the same counters and ratio as LinkStats."""
+
+    def __init__(self, window):
+        self.window = window
+        self.outcomes = deque()
+        self.received = 0
+        self.ratio = 1.0
+
+    def record_outcome(self, delivered):
+        if len(self.outcomes) == self.window:
+            if self.outcomes.popleft():
+                self.received -= 1
+        self.outcomes.append(delivered)
+        if delivered:
+            self.received += 1
+        self.ratio = self.received / len(self.outcomes)
+
+
+@st.composite
+def windows_and_outcomes(draw):
+    # sequences up to 4x the window, their length drawn first so that long
+    # ones, which wrap the ring several times, are common
+    window = draw(st.integers(1, 300))
+    length = draw(st.integers(0, 4 * window))
+    outcomes = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    return window, outcomes
 
 
 def test_bootstrap_is_one():
@@ -60,6 +92,34 @@ def test_bounds_counters_and_determinism(outcomes, window):
     tail = outcomes[-window:]
     assert a.sent_count == len(tail)
     assert a.received_count == sum(tail)
+
+
+@given(windows_and_outcomes())
+@example((1, [True, False, False, True, True]))
+@example((300, [i % 7 != 3 for i in range(1200)]))
+def test_ring_matches_the_deque_window(case):
+    window, outcomes = case
+    ring = LinkStats(window)
+    reference = DequeWindow(window)
+    assert ring.outcomes() == []
+    for outcome in outcomes:
+        ring.record_outcome(outcome)
+        reference.record_outcome(outcome)
+        assert ring.sent_count == len(reference.outcomes)
+        assert ring.received_count == reference.received
+        assert ring.prr() == reference.ratio
+        assert ring.outcomes() == list(reference.outcomes)
+
+
+def test_outcomes_is_a_copy():
+    stats = LinkStats(window=2)
+    for outcome in (True, False, True):
+        stats.record_outcome(outcome)
+    window = stats.outcomes()
+    assert window == [False, True]
+    window.clear()
+    assert stats.outcomes() == [False, True]
+    assert stats.sent_count == 2
 
 
 def test_converges_to_link_quality_across_seeds():

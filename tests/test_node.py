@@ -1,9 +1,12 @@
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wsnqos.energy import RadioParams
 from wsnqos.node import (
+    NO_QUEUE,
     NodeQueues,
     Packet,
     RateEstimator,
@@ -52,6 +55,20 @@ class TestEnqueueDequeue:
 
     def test_empty_is_idle(self):
         assert dequeue_next(NodeQueues()) is None
+
+    def test_a_queue_is_built_at_its_first_packet_and_kept(self):
+        q = NodeQueues()
+        assert q.rt is NO_QUEUE and q.nrt is NO_QUEUE
+        p = mk_packet(1, TrafficClass.NRT)
+        assert classify_enqueue(q, p)
+        assert q.rt is NO_QUEUE
+        built = q.nrt
+        assert type(built) is deque and list(built) == [p]
+        assert dequeue_next(q) is p
+        # emptied, the queue keeps its deque for the next packet
+        assert classify_enqueue(q, mk_packet(2, TrafficClass.NRT))
+        assert q.nrt is built and len(built) == 1
+        assert NodeQueues().nrt is NO_QUEUE
 
     def test_overflow_at_capacity(self):
         q = NodeQueues(capacity=64)
