@@ -59,9 +59,10 @@ MAX_TIMELINE_BUCKETS = 1_000_000
 # packets a run expects to generate; arrival instants are drawn at set-up,
 # 8 B each, so at the cap they come to about 1 GB
 MAX_EXPECTED_PACKETS = 10**8
-# nodes a run holds; at the default density set-up keeps about 3.4 KB per
-# node, so at the cap they come to about 1 GB, as the arrivals at
-# MAX_EXPECTED_PACKETS do. Each allowed neighbor adds about 8 B more.
+# nodes a run holds; at the default density set-up peaks at about 1.6 KB per
+# node (tracemalloc, 5,000 nodes), so at the cap they come to about 0.5 GB,
+# half what the arrivals at MAX_EXPECTED_PACKETS do. Each allowed neighbor
+# adds about 8 B more, and a run adds each link's PRR window as it sends.
 MAX_NODE_COUNT = 300_000
 # node pairs a run expects within radio range: the pairs among the pinned
 # sensors and the sink bounded from their cells, plus min(1, pi r^2 / (W H))

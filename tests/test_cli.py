@@ -252,7 +252,7 @@ REJECTED_INPUTS = [
     # arrivals are drawn at set-up: 10^6 packets/s for 100 s is at the cap
     ("rate.rt = 1e300", "rate.rt"),
     (f"rate.rt = {math.nextafter(1e6, math.inf)!r}", "rate.rt"),
-    # set-up holds about 3.4 KB per node: 300,000 nodes is at the cap
+    # set-up peaks at about 1.6 KB per node: 300,000 nodes is at the cap
     ("node_count = 300001", "node_count"),
     # about 1.09e9 pairs in range on the default grid, and every pair of
     # 20,000 nodes on a 10 m grid: past the cap of 10^8

@@ -2,9 +2,9 @@
 process only.
 
 The bounds are declared here, from the sizes the records are built to:
-set-up at the default density holds about 1.4 KB per node, against about
-2.9 KB while every PRR window and class queue was a full-size deque built
-up front.
+set-up at the default density holds about 1.4 KB per node. Two full-size
+deques per node for its class queues, 760 B each, would put it past the
+bound.
 """
 
 import math
